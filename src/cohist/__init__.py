@@ -11,9 +11,11 @@ from .errors import (
     CompletenessError,
     DimError,
     FactorizationError,
+    FlavorError,
     GridMismatchError,
     IncompatibleFrameworksError,
     InconsistentFamilyError,
+    NonFiniteError,
     NormalizationError,
     NotProjectorError,
     OrthogonalityError,
@@ -24,8 +26,11 @@ from .errors import (
 )
 from .operators import (
     AXES,
+    CONSISTENCY_FLOOR,
     TOL_ALG,
+    TOL_CONSISTENCY,
     TOL_NORM,
+    TOL_PROB,
     Ket,
     Operator,
     basis_ket,
@@ -67,8 +72,6 @@ from .histories import (
     unitary_family,
 )
 from .dynamics import (
-    CONSISTENCY_FLOOR,
-    TOL_CONSISTENCY,
     ChainOperator,
     ConsistencyReport,
     Dynamics,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimError,
+    FlavorError,
     GridMismatchError,
     InconsistentFamilyError,
     WeightError,
@@ -23,11 +24,8 @@ from .errors import (
 )
 from .framework import ProjectiveDecomposition
 from .histories import History, HistoryFamily, TimeGrid
-from .operators import TOL_ALG, Operator
-
-TOL_CONSISTENCY = 1e-8
-CONSISTENCY_FLOOR = 1e-12
-TOL_PROB = 1e-8
+# The tolerance defaults live in operators; they stay importable from here.
+from .operators import CONSISTENCY_FLOOR, TOL_ALG, TOL_CONSISTENCY, TOL_PROB, Operator
 
 
 class Dynamics:
@@ -44,7 +42,7 @@ class Dynamics:
             if u.dims != dims:
                 raise DimError(f"step {m} has dims {u.dims}, expected {dims}")
             if u.flavor != "unitary" and not u.is_unitary(tol):
-                raise ValueError(f"step {m} is not unitary")
+                raise FlavorError(f"step {m} is not unitary")
         self.grid = grid
         self.steps = steps
 
@@ -66,7 +64,7 @@ class Dynamics:
         Exact (to rounding) via the eigendecomposition of the Hermitian H.
         """
         if not hamiltonian.is_hermitian(tol):
-            raise ValueError("Hamiltonian must be Hermitian")
+            raise FlavorError("Hamiltonian must be Hermitian")
         w, v = np.linalg.eigh(hamiltonian.matrix)
         steps = []
         for m in range(grid.f):

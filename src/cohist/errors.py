@@ -17,6 +17,14 @@ class NotProjectorError(CohistError):
     """An operator required to be a (nonzero) projector is not."""
 
 
+class FlavorError(CohistError, ValueError):
+    """An operator is not unitary, Hermitian or positive where it must be."""
+
+
+class NonFiniteError(CohistError, ValueError):
+    """A ket or operator has a NaN or infinite entry."""
+
+
 class OrthogonalityError(CohistError):
     """Two projectors that must be mutually orthogonal are not."""
 

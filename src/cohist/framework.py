@@ -21,9 +21,14 @@ from .errors import (
     OrthogonalityError,
     WeightError,
 )
-from .operators import TOL_ALG, Operator, commutes, interval_projector, spin_projectors
-
-TOL_PROB = 1e-8
+from .operators import (
+    TOL_ALG,
+    TOL_PROB,
+    Operator,
+    commutes,
+    interval_projector,
+    spin_projectors,
+)
 
 
 class ProjectiveDecomposition:

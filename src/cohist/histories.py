@@ -5,11 +5,17 @@ of its factors on the history space H_0 (x) H_1 (x) ... (x) H_f.  Histories
 are stored factored -- one single-time projector per time, never as a dense
 d^(f+1) matrix -- which keeps chain-operator evaluation polynomial in the
 single-time dimension and the number of times.
+
+Mutual exclusivity, the sum rule and family compatibility are decided from
+the factors too: `_pair_table` builds one table per time over the distinct
+factors and multiplies the tables across times, so these checks cost O(n^2)
+array work plus a table per time, never d^(f+1).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +28,15 @@ from .errors import (
     OrthogonalityError,
 )
 from .framework import ProjectiveDecomposition
-from .operators import TOL_ALG, Ket, Operator, dyad
+from .operators import (
+    CONSISTENCY_FLOOR,
+    TOL_ALG,
+    TOL_CONSISTENCY,
+    Ket,
+    Operator,
+    commutes,
+    dyad,
+)
 
 KIND_NORMAL = "normal"
 KIND_THROWAWAY = "throwaway"
@@ -126,13 +140,6 @@ class History:
     def dims(self) -> tuple[int, ...]:
         return self.factors[0].dims
 
-    def dense(self) -> np.ndarray:
-        """The history projector as a dense matrix on the history space."""
-        m = self.factors[0].matrix
-        for fct in self.factors[1:]:
-            m = np.kron(m, fct.matrix)
-        return m
-
     def display_label(self) -> str:
         return ",".join(self.label)
 
@@ -206,11 +213,8 @@ class HistoryFamily:
             if not 0 <= t < self.grid.n_times:
                 raise GridMismatchError(f"time index {t} out of range")
             crit[t] = {lab} if isinstance(lab, str) else {str(x) for x in lab}
-        out = []
-        for i, h in enumerate(self.histories):
-            if all(h.label[t] in allowed for t, allowed in crit.items()):
-                out.append(i)
-        return tuple(out)
+        return tuple(i for i, h in enumerate(self.histories)
+                     if all(h.label[t] in allowed for t, allowed in crit.items()))
 
     def attach(self, dynamics) -> "HistoryFamily":
         return HistoryFamily(self.grid, self.histories, dynamics)
@@ -222,28 +226,28 @@ class HistoryFamily:
     def validate(self, tol: float = TOL_ALG) -> None:
         """Check mutual exclusivity and that the histories sum to the identity.
 
-        The sum check builds the dense history-space identity, which is fine
-        at desk scale; storage stays factored.
+        Both checks use the factors only.  The norm of a product of two
+        histories is the product of the per-time ||A_m B_m||; the first pair
+        (i < j, row-major) above tol is reported.  Mutually exclusive
+        projectors sum to a projector of rank sum_a prod_m Tr F_m^a, so the
+        sum is I exactly when that integer is the history-space dimension.
+        Cost: a table per time over its distinct factors, O(n^2) array work.
         """
-        n = self.n
-        norms = [[float(np.linalg.norm(a.matrix @ b.matrix))
-                  for a, b in zip(h1.factors, h2.factors)]
-                 for h1, h2 in itertools.combinations(self.histories, 2)]
-        pair_iter = itertools.combinations(range(n), 2)
-        for (i, j), factor_norms in zip(pair_iter, norms):
-            # || kron(A_0..A_f) || = prod ||A_m||, so the product of factor
-            # norms is the norm of the history-space product.
-            if float(np.prod(factor_norms)) > tol:
-                raise OrthogonalityError(
-                    f"histories {self.histories[i].display_label()!r} and "
-                    f"{self.histories[j].display_label()!r} are not mutually exclusive"
-                )
-        total = sum(h.dense() for h in self.histories)
-        residual = float(np.linalg.norm(total - np.eye(self.space.total_dim)))
-        if residual > tol:
+        hs = self.histories
+        overlap = ~(_pair_table(hs, hs, _product_norm) <= tol)
+        bad = np.argwhere(np.triu(overlap, k=1))
+        if bad.size:
+            i, j = bad[0]
+            raise OrthogonalityError(
+                f"histories {hs[i].display_label()!r} and "
+                f"{hs[j].display_label()!r} are not mutually exclusive"
+            )
+        rank = sum(math.prod(round(f.trace().real) for f in h.factors) for h in hs)
+        deficit = self.space.total_dim - rank
+        if deficit:
             raise CompletenessError(
                 f"histories do not sum to the history-space identity: "
-                f"||sum - I|| = {residual:.3e}"
+                f"||sum - I|| = {math.sqrt(abs(deficit)):.3e}"
             )
 
     def __repr__(self) -> str:
@@ -352,42 +356,42 @@ def raw_family(grid: TimeGrid, histories: Sequence[History], dynamics=None,
     return fam
 
 
-def _pair_product_norm(h1: History, h2: History) -> float:
-    return float(np.prod([
-        np.linalg.norm(a.matrix @ b.matrix) for a, b in zip(h1.factors, h2.factors)
-    ]))
+def _distinct(ops: Sequence[Operator]) -> tuple[list[Operator], list[int]]:
+    """The distinct objects in first-seen order, and each entry's index into them."""
+    first = {id(op): op for op in ops}
+    index = {key: k for k, key in enumerate(first)}
+    return list(first.values()), [index[id(op)] for op in ops]
 
 
-def _histories_commute(h1: History, h2: History, tol: float) -> bool:
-    """Commutation of the two product projectors on the history space.
+def _pair_table(rows: Sequence[History], cols: Sequence[History], fn) -> np.ndarray:
+    """prod_m fn(A_m, B_m) for every history A of `rows` and B of `cols`.
 
-    Factorwise commutation settles the common case exactly; zero products in
-    either order also commute.  Only the rare remainder needs the dense
-    history-space commutator, which is fine at desk scale.
+    At each time fn runs once per pair of distinct factor objects, keyed by
+    id() (the histories hold the objects, so the ids are stable for the call),
+    and the small table is broadcast to all history pairs.
     """
-    ab = [a.matrix @ b.matrix for a, b in zip(h1.factors, h2.factors)]
-    ba = [b.matrix @ a.matrix for a, b in zip(h1.factors, h2.factors)]
-    if all(float(np.linalg.norm(x - y)) <= tol for x, y in zip(ab, ba)):
-        return True
-    n_ab = float(np.prod([np.linalg.norm(m) for m in ab]))
-    n_ba = float(np.prod([np.linalg.norm(m) for m in ba]))
-    if n_ab <= tol and n_ba <= tol:
-        return True
-    dense_ab, dense_ba = ab[0], ba[0]
-    for x, y in zip(ab[1:], ba[1:]):
-        dense_ab = np.kron(dense_ab, x)
-        dense_ba = np.kron(dense_ba, y)
-    return float(np.linalg.norm(dense_ab - dense_ba)) <= tol
+    out = None
+    for m in range(rows[0].n_times):
+        a_ops, a_idx = _distinct([h.factors[m] for h in rows])
+        b_ops, b_idx = _distinct([h.factors[m] for h in cols])
+        table = np.array([[fn(a, b) for b in b_ops] for a in a_ops])[np.ix_(a_idx, b_idx)]
+        out = table if out is None else out * table
+    return out
+
+
+def _product_norm(a: Operator, b: Operator) -> float:
+    return float(np.linalg.norm(a.matrix @ b.matrix))
 
 
 def family_compatible(f1: HistoryFamily, f2: HistoryFamily,
-                      tol: float = TOL_ALG, tol_consistency: float = 1e-8,
-                      floor: float = 1e-12) -> bool:
+                      tol: float = TOL_ALG, tol_consistency: float = TOL_CONSISTENCY,
+                      floor: float = CONSISTENCY_FLOOR) -> bool:
     """Whether two families on the same history space may be combined.
 
     Requires all history projectors to commute pairwise and, when dynamics
     is attached to either family, the common refinement to pass the
-    consistency check.
+    consistency check.  Product projectors with a nonzero product commute
+    only factor by factor (A B = c B A and Tr A B = ||A B||^2 > 0 force c = 1).
     """
     if f1.dims != f2.dims:
         raise DimError(f"families live on dims {f1.dims} and {f2.dims}")
@@ -398,24 +402,19 @@ def family_compatible(f1: HistoryFamily, f2: HistoryFamily,
             and not f1.dynamics.equals(f2.dynamics, tol):
         raise ValueError("families carry different dynamics")
 
+    h1s, h2s = f1.histories, f2.histories
+    overlap = ~(_pair_table(h1s, h2s, _product_norm) <= tol)
+    commute = _pair_table(h1s, h2s, lambda a, b: commutes(a, b, tol))
+    if np.any(overlap & ~commute):
+        return False
     refined: list[History] = []
-    for h1 in f1.histories:
-        for h2 in f2.histories:
-            if not _histories_commute(h1, h2, tol):
-                return False
-            if _pair_product_norm(h1, h2) <= tol:
-                continue
-            prods = []
-            for a, b in zip(h1.factors, h2.factors):
-                prod = a @ b
-                if not prod.is_projector(tol):
-                    # Commuting on the history space but not factorwise: the
-                    # products are not projectors, so no refinement exists.
-                    return False
-                prods.append(Operator(prod.matrix, a.dims, flavor="projector"))
-            kind = KIND_THROWAWAY if KIND_THROWAWAY in (h1.kind, h2.kind) else KIND_NORMAL
-            label = tuple(f"{a}&{b}" for a, b in zip(h1.label, h2.label))
-            refined.append(History(prods, label, kind=kind))
+    for i, j in np.argwhere(overlap):
+        h1, h2 = h1s[i], h2s[j]
+        prods = [Operator(a.matrix @ b.matrix, a.dims, flavor="projector", tol=tol)
+                 for a, b in zip(h1.factors, h2.factors)]
+        kind = KIND_THROWAWAY if KIND_THROWAWAY in (h1.kind, h2.kind) else KIND_NORMAL
+        label = tuple(f"{a}&{b}" for a, b in zip(h1.label, h2.label))
+        refined.append(History(prods, label, kind=kind))
     if dyn is None:
         return True
     from .dynamics import decoherence_functional

@@ -20,12 +20,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimError, NormalizationError, NotProjectorError
+from .errors import (
+    DimError,
+    FlavorError,
+    NonFiniteError,
+    NormalizationError,
+    NotProjectorError,
+)
 
 # Frobenius norm is used for every algebraic predicate: cheap,
 # basis-independent, and sufficient at the dimensions in scope.
 TOL_ALG = 1e-10
 TOL_NORM = 1e-12
+# Consistency verdict: |D(a, b)| <= max(TOL_CONSISTENCY sqrt(W_a W_b),
+# CONSISTENCY_FLOOR).  TOL_PROB: how far probability weights may fall below
+# 0 or their sum stray from 1.
+TOL_CONSISTENCY = 1e-8
+CONSISTENCY_FLOOR = 1e-12
+TOL_PROB = 1e-8
 
 AXES = ("x", "y", "z")
 
@@ -50,6 +62,8 @@ class Ket:
         amp = np.array(amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size == 0:
             raise DimError("ket amplitudes must form a nonempty 1-d vector")
+        if not np.isfinite(amp).all():
+            raise NonFiniteError("ket amplitudes must be finite")
         amp.flags.writeable = False
         self.amplitudes = amp
         self.dims = _factor_dims(amp.size, dims)
@@ -102,25 +116,25 @@ def _check_flavor(matrix: np.ndarray, flavor: str, tol: float) -> None:
     if flavor == "projector":
         herm = np.linalg.norm(matrix - matrix.conj().T)
         idem = np.linalg.norm(matrix @ matrix - matrix)
-        if herm > tol or idem > tol:
+        if not (herm <= tol and idem <= tol):
             raise NotProjectorError(
                 f"not a projector: ||P^2-P||={idem:.3e}, ||P-P^dag||={herm:.3e}"
             )
     elif flavor == "unitary":
         dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))
-        if dev > tol:
-            raise ValueError(f"not unitary: ||U^dag U - I||={dev:.3e}")
+        if not dev <= tol:
+            raise FlavorError(f"not unitary: ||U^dag U - I||={dev:.3e}")
     elif flavor == "hermitian":
         dev = np.linalg.norm(matrix - matrix.conj().T)
-        if dev > tol:
-            raise ValueError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
+        if not dev <= tol:
+            raise FlavorError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
     elif flavor == "positive":
         dev = np.linalg.norm(matrix - matrix.conj().T)
-        if dev > tol:
-            raise ValueError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
+        if not dev <= tol:
+            raise FlavorError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
         lo = float(np.linalg.eigvalsh(matrix).min())
-        if lo < -tol:
-            raise ValueError(f"not positive: min eigenvalue {lo:.3e}")
+        if not lo >= -tol:
+            raise FlavorError(f"not positive: min eigenvalue {lo:.3e}")
     else:
         raise ValueError(f"unknown operator flavor {flavor!r}")
 
@@ -140,6 +154,8 @@ class Operator:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimError(f"operator matrix must be square and nonempty, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteError("operator matrix entries must be finite")
         m.flags.writeable = False
         self.matrix = m
         self.dims = _factor_dims(m.shape[0], dims)

@@ -1,4 +1,5 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and dense reference checks shared across the
+test modules."""
 
 import numpy as np
 
@@ -45,3 +46,47 @@ def random_projector(rng, d, rank):
     u = random_unitary(rng, d).matrix
     cols = u[:, :rank]
     return Operator(cols @ cols.conj().T, (d,), flavor="projector")
+
+
+# Dense oracles on the history space.  They build the d^(f+1) matrices the
+# library never forms, so they serve as independent references at small size.
+
+def dense_history(h):
+    """The history projector F_0 (x) ... (x) F_f as a dense matrix."""
+    m = h.factors[0].matrix
+    for f in h.factors[1:]:
+        m = np.kron(m, f.matrix)
+    return m
+
+
+def dense_identity_residual(fam):
+    """||sum_a P_a - I|| from explicit kron sums."""
+    total = sum(dense_history(h) for h in fam.histories)
+    return float(np.linalg.norm(total - np.eye(total.shape[0])))
+
+
+def dense_identity_check(fam, tol=1e-10):
+    """Independent oracle for the sum rule: explicit kron sums."""
+    return dense_identity_residual(fam) <= tol
+
+
+def dense_first_overlap(histories, tol=1e-10):
+    """First pair (i, j), i < j in row-major order, with ||P_i P_j|| > tol."""
+    dense = [dense_history(h) for h in histories]
+    for i in range(len(dense)):
+        for j in range(i + 1, len(dense)):
+            if not np.linalg.norm(dense[i] @ dense[j]) <= tol:
+                return i, j
+    return None
+
+
+def dense_families_commute(f1, f2, tol=1e-10):
+    """Independent oracle for family compatibility without dynamics: every
+    pair of history projectors commutes on the history space."""
+    dense2 = [dense_history(h) for h in f2.histories]
+    for h1 in f1.histories:
+        a = dense_history(h1)
+        for b in dense2:
+            if not np.linalg.norm(a @ b - b @ a) <= tol:
+                return False
+    return True

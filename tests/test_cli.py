@@ -19,6 +19,31 @@ query probability family f dynamics free where 1=z+
 query sample family f dynamics free count 100 seed 3
 """
 
+# A NaN operator used as dynamics: rejected at construction, so the
+# consistency query never sees NaN weights.
+NAN_DYNAMICS = """\
+scenario nan-dynamics
+system s dim 2
+state up system s basis 0
+operator u system s matrix nan+0i 0+0i ; 0+0i 1+0i
+operator pup system s dyad up
+pd z system s spin z
+grid g times 0 1 2
+dynamics dyn system s grid g unitaries u u
+family f system s grid g fixed pup z z
+query consistency family f dynamics dyn
+"""
+
+NON_UNITARY_DYNAMICS = NAN_DYNAMICS.replace("nan+0i", "2+0i")
+
+NON_HERMITIAN_HAMILTONIAN = """\
+scenario non-hermitian
+system s dim 2
+operator h system s matrix 0+0i 1+0i ; 0+0i 0+0i
+grid g times 0 1 2
+dynamics dyn system s grid g hamiltonian h
+"""
+
 
 def machine_value(report: str, record_kind: str, key: str) -> str:
     lines = report.splitlines()
@@ -174,6 +199,22 @@ class TestMainEntry:
 
     def test_tolerance_flag_syntax_error(self, capsys):
         assert main(["--tolerance", "garbage", "demos"]) == 2
+
+    @pytest.mark.parametrize("text, line, words", [
+        (NAN_DYNAMICS, 4, "finite"),
+        (NON_UNITARY_DYNAMICS, 8, "not unitary"),
+        (NON_HERMITIAN_HAMILTONIAN, 5, "Hermitian"),
+    ])
+    def test_bad_dynamics_input_is_status_2(self, tmp_path, capsys, text, line,
+                                            words):
+        path = tmp_path / "bad.chs"
+        path.write_text(text)
+        for verb in ("check", "run"):
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {line}: ")
+            assert words in err
+            assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         assert main(["run", "/does/not/exist.chs"]) == 2

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from cohist import (
     Dynamics,
+    FlavorError,
     GridMismatchError,
     InconsistentFamilyError,
     Operator,
@@ -108,6 +109,13 @@ class TestDynamicsConstruction:
         grid = TimeGrid([0, 1])
         with pytest.raises(ValueError):
             Dynamics(grid, [Operator([[1, 0], [0, 2]])])
+        with pytest.raises(FlavorError):
+            Dynamics(grid, [Operator([[1, 0], [0, 2]])])
+
+    def test_non_hermitian_hamiltonian_rejected(self):
+        grid = TimeGrid([0, 1])
+        with pytest.raises(FlavorError):
+            Dynamics.from_hamiltonian(grid, Operator([[0, 1], [0, 0]]))
 
 
 class TestDecoherenceFunctional:

@@ -26,19 +26,7 @@ from cohist import (
     trivial_pd,
     unitary_family,
 )
-from helpers import random_ket, random_unitary
-
-
-def dense_identity_check(fam, tol=1e-10):
-    """Independent oracle for the sum rule: explicit kron sums."""
-    total = None
-    for h in fam.histories:
-        m = h.factors[0].matrix
-        for f in h.factors[1:]:
-            m = np.kron(m, f.matrix)
-        total = m if total is None else total + m
-    dim = total.shape[0]
-    return np.linalg.norm(total - np.eye(dim)) <= tol
+from helpers import dense_identity_check, random_ket, random_unitary
 
 
 class TestTimeGrid:
@@ -236,6 +224,21 @@ class TestFamilyCompatibility:
         f2 = product_family(grid, [trivial_pd(2), trivial_pd(2), spin_pd("z")],
                             dynamics=dyn)
         assert family_compatible(f1, f2)
+
+    def test_tolerance_defaults_have_one_home(self):
+        import inspect
+
+        import cohist
+        from cohist import dynamics, framework, operators
+
+        for name in ("TOL_CONSISTENCY", "CONSISTENCY_FLOOR", "TOL_PROB"):
+            value = getattr(operators, name)
+            assert getattr(cohist, name) is value
+            assert getattr(dynamics, name) is value
+        assert framework.TOL_PROB is operators.TOL_PROB
+        params = inspect.signature(family_compatible).parameters
+        assert params["tol_consistency"].default is operators.TOL_CONSISTENCY
+        assert params["floor"].default is operators.CONSISTENCY_FLOOR
 
     def test_grid_mismatch_rejected(self):
         f1 = product_family(TimeGrid([0, 1]), [spin_pd("z")] * 2)

@@ -1,0 +1,130 @@
+"""Factored history checks against the dense history-space oracles.
+
+`HistoryFamily.validate` and `family_compatible` decide mutual exclusivity,
+the sum rule and commutation from the single-time factors.  These properties
+compare them with explicit kron products on random small product families
+(d <= 3, up to three times), where the dense matrices are cheap.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cohist import (
+    CompletenessError,
+    History,
+    HistoryFamily,
+    Operator,
+    OrthogonalityError,
+    TimeGrid,
+    family_compatible,
+    make_pd,
+    product_family,
+    raw_family,
+    spin_pd,
+    trivial_pd,
+)
+from cohist.histories import _pair_table
+from helpers import (
+    dense_families_commute,
+    dense_first_overlap,
+    dense_identity_check,
+    dense_identity_residual,
+    random_pd,
+    random_projector,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def product_families(draw):
+    """A random product family, the rng that built it, and its decompositions."""
+    d = draw(st.integers(1, 3))
+    n_times = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pds = [random_pd(rng, d) for _ in range(n_times)]
+    return product_family(TimeGrid(range(n_times)), pds), rng, pds
+
+
+@PROPERTY
+@given(product_families())
+def test_complete_family_validates(case):
+    fam, _, _ = case
+    fam.validate()
+    assert dense_identity_check(fam)
+    assert dense_first_overlap(fam.histories) is None
+
+
+@PROPERTY
+@given(product_families(), st.data())
+def test_dropped_history_is_incomplete(case, data):
+    fam, _, _ = case
+    assume(fam.n >= 2)
+    drop = data.draw(st.integers(0, fam.n - 1))
+    kept = fam.histories[:drop] + fam.histories[drop + 1:]
+    with pytest.raises(CompletenessError) as err:
+        raw_family(fam.grid, kept)
+    residual = dense_identity_residual(HistoryFamily(fam.grid, kept))
+    assert not dense_identity_check(HistoryFamily(fam.grid, kept))
+    assert f"||sum - I|| = {residual:.3e}" in str(err.value)
+
+
+@PROPERTY
+@given(product_families(), st.data())
+def test_overlapping_history_names_the_dense_pair(case, data):
+    fam, rng, _ = case
+    d = fam.space.dim
+    extra = History(
+        [random_projector(rng, d, int(rng.integers(1, d + 1)))
+         for _ in range(fam.grid.n_times)],
+        ["extra"] * fam.grid.n_times)
+    at = data.draw(st.integers(0, fam.n))
+    hs = fam.histories[:at] + (extra,) + fam.histories[at:]
+    i, j = dense_first_overlap(hs)
+    with pytest.raises(OrthogonalityError) as err:
+        raw_family(fam.grid, hs)
+    assert str(err.value) == (
+        f"histories {hs[i].display_label()!r} and {hs[j].display_label()!r} "
+        "are not mutually exclusive")
+
+
+@PROPERTY
+@given(product_families(), st.data())
+def test_family_compatible_matches_dense_commutator(case, data):
+    fam, rng, pds = case
+    d = fam.space.dim
+    other = []
+    for pd in pds:
+        choice = data.draw(st.sampled_from(["same", "copy", "trivial", "random"]))
+        if choice == "same":
+            other.append(pd)
+        elif choice == "copy":
+            # Equal projectors held by new objects: factor sharing is only
+            # a shortcut, never part of the answer.
+            other.append(make_pd([Operator(p.matrix, p.dims, flavor="projector")
+                                  for p in pd.projectors], pd.labels))
+        elif choice == "trivial":
+            other.append(trivial_pd(d))
+        else:
+            other.append(random_pd(rng, d))
+    fam2 = product_family(fam.grid, other)
+    assert family_compatible(fam, fam2) == dense_families_commute(fam, fam2)
+    assert family_compatible(fam2, fam) == dense_families_commute(fam2, fam)
+
+
+def test_pair_table_runs_once_per_distinct_factor_pair():
+    fam = product_family(TimeGrid([0, 1, 2]), [spin_pd("z"), spin_pd("x"), spin_pd("z")])
+    calls = []
+
+    def norm(a, b):
+        calls.append((a, b))
+        return float(np.linalg.norm(a.matrix @ b.matrix))
+
+    table = _pair_table(fam.histories, fam.histories, norm)
+    assert len(calls) == 3 * 2 * 2
+    expected = [[np.prod([np.linalg.norm(a.matrix @ b.matrix)
+                          for a, b in zip(h1.factors, h2.factors)])
+                 for h2 in fam.histories] for h1 in fam.histories]
+    assert np.array_equal(table, np.array(expected))

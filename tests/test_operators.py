@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from cohist import (
+    CohistError,
     DimError,
+    FlavorError,
     Ket,
+    NonFiniteError,
     NormalizationError,
     NotProjectorError,
     Operator,
@@ -22,6 +25,7 @@ from cohist import (
     spin_projectors,
     tensor,
 )
+from cohist.operators import _check_flavor
 from helpers import random_ket, random_projector, random_unitary
 
 
@@ -265,3 +269,43 @@ class TestEmbedAndFlavors:
         p = Operator.identity(2)
         with pytest.raises(ValueError):
             p.matrix[0, 0] = 5
+
+
+class TestRejectedInput:
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_operator_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            Operator([[bad, 0], [0, 1]])
+        with pytest.raises(NonFiniteError):
+            Operator([[bad, 0], [0, 1]], flavor="unitary")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ket_rejected(self, bad):
+        with pytest.raises(NonFiniteError) as err:
+            Ket([bad, 0])
+        assert isinstance(err.value, CohistError)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("flavor, matrix", [
+        ("unitary", [[1, 0], [0, 2]]),
+        ("hermitian", [[0, 1], [0, 0]]),
+        ("positive", [[0, 1], [0, 0]]),
+        ("positive", [[1, 0], [0, -1]]),
+    ])
+    def test_flavor_failures_are_typed(self, flavor, matrix):
+        with pytest.raises(FlavorError) as err:
+            Operator(matrix, flavor=flavor)
+        assert isinstance(err.value, CohistError)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("flavor, error", [
+        ("projector", NotProjectorError),
+        ("unitary", FlavorError),
+        ("hermitian", FlavorError),
+        ("positive", FlavorError),
+    ])
+    def test_flavor_checks_fail_on_nan(self, flavor, error):
+        # Construction rejects NaN first; the checks must not pass it either.
+        with pytest.raises(error):
+            _check_flavor(np.array([[np.nan, 0], [0, 1]]), flavor, 1e-10)
