@@ -81,6 +81,7 @@ from .dynamics import (
     decoherence_functional,
     event_weight,
     probability,
+    sample_counts,
     sample_history,
 )
 from .models import (

@@ -17,12 +17,17 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections import Counter
 
 import numpy as np
 
 from . import demos as demos_mod
-from .dynamics import decoherence_functional, event_weight, sample_history
+from .dynamics import (
+    _require_consistent,
+    conditional_probability,
+    decoherence_functional,
+    event_weight,
+    sample_counts,
+)
 from .errors import CohistError, ParseError, ValidationError
 from .framework import common_refinement, compatible, refines
 from .histories import family_compatible
@@ -37,11 +42,6 @@ from .scenario import (
 
 def _f(x: float) -> str:
     return f"{float(x):.16e}"
-
-
-def _c(z: complex) -> str:
-    z = complex(z)
-    return f"{z.real:.16e}{z.imag:+.16e}i"
 
 
 def _b(x: bool) -> str:
@@ -65,10 +65,17 @@ class Record:
         self.lines.append(f"{key} {value}")
 
     def add_matrix(self, key: str, matrix: np.ndarray) -> None:
+        """One `row` line per matrix row, each entry `re+imi` to 17 digits.
+
+        Each row is formatted by one %-format over its interleaved real and
+        imaginary parts; only one row at a time becomes Python floats.
+        """
         rows, cols = matrix.shape
         self.add(key, f"{rows} {cols}")
+        parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+        row_format = "row " + " ".join(["%.16e%+.16ei"] * cols)
         for r in range(rows):
-            self.lines.append("row " + " ".join(_c(z) for z in matrix[r]))
+            self.lines.append(row_format % tuple(parts[r].tolist()))
 
     def error(self, err: Exception) -> None:
         self.errored = True
@@ -102,13 +109,7 @@ def _run_probability(rec: Record, payload: dict, env: Environment) -> None:
     report = decoherence_functional(
         family, dynamics, tol_consistency=env.tol("tol_consistency"),
         floor=env.tol("floor"))
-    if not report.consistent:
-        from .errors import InconsistentFamilyError
-
-        raise InconsistentFamilyError(
-            "family fails the consistency condition "
-            f"(max off-diagonal {report.max_offdiag_abs:.6e}); probabilities "
-            "are meaningless for it and are refused")
+    _require_consistent(report)
     rec.add("where", _event_spec(payload["where"]))
     total = report.total_weight()
     value = event_weight(family, report, payload["where"]) / total
@@ -116,8 +117,6 @@ def _run_probability(rec: Record, payload: dict, env: Environment) -> None:
 
 
 def _run_conditional(rec: Record, payload: dict, env: Environment) -> None:
-    from .dynamics import conditional_probability
-
     rec.add("where", _event_spec(payload["where"]))
     rec.add("given", _event_spec(payload["given"]))
     value = conditional_probability(
@@ -187,15 +186,13 @@ def _run_sample(rec: Record, payload: dict, env: Environment,
     family, dynamics = payload["family"], payload["dynamics"]
     count = payload["count"]
     seed = seed_override if seed_override is not None else payload["seed"]
-    labels = sample_history(family, dynamics, seed, size=count,
-                            tol_consistency=env.tol("tol_consistency"),
-                            floor=env.tol("floor"))
+    counts = sample_counts(family, dynamics, seed, count,
+                           tol_consistency=env.tol("tol_consistency"),
+                           floor=env.tol("floor"))
     rec.add("count", str(count))
     rec.add("seed", str(seed))
-    counts = Counter(labels)
-    for i in family.included_indices():
-        label = family.histories[i].label
-        rec.add("draws", f"{_label(label)} {counts.get(label, 0)}")
+    for i, drawn in zip(family.included_indices(), counts.tolist()):
+        rec.add("draws", f"{_label(family.histories[i].label)} {drawn}")
 
 
 def execute(scenario: Scenario, env: Environment,

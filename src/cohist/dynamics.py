@@ -5,6 +5,12 @@ unitaries; the decoherence functional is the Gram matrix of chain operators.
 A family admits probabilities only when all off-diagonal entries vanish
 (medium decoherence); probability queries on families that fail the check
 are refused rather than silently answered.
+
+All of it is array work: `_chains` evaluates every chain of a family at once
+(per time, one batched matmul over the stacked factors), D is one Gram
+product, and `_verdict` walks the upper triangle of D in blocks of rows, so
+its temporaries stay O(block * n).  Sampling draws every index in one call
+and `sample_counts` tallies them with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -121,6 +127,19 @@ class ChainOperator:
     label: tuple[str, ...]
 
 
+def _chains(histories: Sequence[History], dynamics: Dynamics) -> np.ndarray:
+    """Chain operators of all histories as one (n, d, d) array.
+
+    Per time the factor matrices are stacked and K -> F_m T(t_m, t_{m-1}) K
+    is applied to every chain at once, one batched matmul per product.
+    """
+    k = np.stack([h.factors[0].matrix for h in histories])
+    for m, step in enumerate(dynamics.steps, start=1):
+        factors = np.stack([h.factors[m].matrix for h in histories])
+        k = factors @ (step.matrix @ k)
+    return k
+
+
 def chain_operator(history: History, dynamics: Dynamics) -> ChainOperator:
     """F_f T(t_f, t_{f-1}) ... F_1 T(t_1, t_0) F_0 for the given history."""
     if history.n_times != dynamics.grid.n_times:
@@ -130,10 +149,8 @@ def chain_operator(history: History, dynamics: Dynamics) -> ChainOperator:
     if history.dims != dynamics.dims:
         raise DimError(f"history dims {history.dims} do not match dynamics dims "
                        f"{dynamics.dims}")
-    k = history.factors[0].matrix
-    for m in range(1, history.n_times):
-        k = history.factors[m].matrix @ (dynamics.steps[m - 1].matrix @ k)
-    return ChainOperator(Operator(k, history.dims), history.label)
+    return ChainOperator(Operator(_chains([history], dynamics)[0], history.dims),
+                         history.label)
 
 
 @dataclass
@@ -189,6 +206,42 @@ class ConsistencyReport:
         raise ValueError(f"no history labeled {label}")
 
 
+# Entries of D per verdict block; the block's temporaries stay a few MB.
+_VERDICT_BLOCK = 1 << 16
+
+
+def _verdict(matrix: np.ndarray, weights: np.ndarray, tol_consistency: float,
+             floor: float) -> tuple[bool, float, float]:
+    """(consistent, max_offdiag_abs, max_offdiag_rel) over the pairs a < b.
+
+    A pair passes when |D(a, b)| <= max(tol sqrt(W_a W_b), floor), tested in
+    that form so that a NaN fails it; the maxima propagate NaN too, and a
+    non-finite weight fails the family even when it has no pairs.  The
+    relative maximum runs over the pairs with sqrt(W_a W_b) > floor.  The
+    upper triangle is walked a block of rows at a time.
+    """
+    n = len(weights)
+    positive = np.maximum(weights, 0.0)
+    consistent = bool(np.all(np.isfinite(weights)))
+    max_abs, max_rel = 0.0, 0.0
+    rows = max(1, _VERDICT_BLOCK // n)
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n - 1)
+        block = matrix[r0:r1, r0 + 1:]
+        # hypot, as complex abs() of one entry; np.abs on complex arrays may
+        # round differently in the last place.
+        off = np.hypot(block.real, block.imag)
+        scale = np.sqrt(positive[r0:r1, None] * positive[None, r0 + 1:])
+        upper = np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
+        bound = np.maximum(tol_consistency * scale, floor)
+        consistent = consistent and bool(np.all(off <= bound, where=upper))
+        max_abs = float(np.max(off, where=upper, initial=max_abs))
+        rel = np.divide(off, scale, out=np.zeros_like(off),
+                        where=upper & (scale > floor))
+        max_rel = float(np.max(rel, initial=max_rel))
+    return consistent, max_abs, max_rel
+
+
 def decoherence_functional(family: HistoryFamily, dynamics: Dynamics,
                            tol_consistency: float = TOL_CONSISTENCY,
                            floor: float = CONSISTENCY_FLOOR) -> ConsistencyReport:
@@ -202,24 +255,10 @@ def decoherence_functional(family: HistoryFamily, dynamics: Dynamics,
     if family.dims != dynamics.dims:
         raise DimError(f"family dims {family.dims} do not match dynamics dims "
                        f"{dynamics.dims}")
-    chains = np.array([
-        chain_operator(h, dynamics).value.matrix.ravel() for h in family.histories
-    ])
+    chains = _chains(family.histories, dynamics).reshape(family.n, -1)
     matrix = chains.conj() @ chains.T
     weights = matrix.diagonal().real.copy()
-    n = len(family.histories)
-    consistent = True
-    max_abs = 0.0
-    max_rel = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            off = abs(matrix[i, j])
-            scale = float(np.sqrt(max(weights[i], 0.0) * max(weights[j], 0.0)))
-            max_abs = max(max_abs, off)
-            if scale > floor:
-                max_rel = max(max_rel, off / scale)
-            if off > max(tol_consistency * scale, floor):
-                consistent = False
+    consistent, max_abs, max_rel = _verdict(matrix, weights, tol_consistency, floor)
     matrix.flags.writeable = False
     weights.flags.writeable = False
     excluded = tuple(i for i, h in enumerate(family.histories) if h.kind == "throwaway")
@@ -300,6 +339,21 @@ def conditional_probability(family: HistoryFamily, dynamics: Dynamics,
     return numerator / denominator
 
 
+def _draw(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int | None,
+          tol_consistency: float, floor: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """The included history indices, and draws of positions into them."""
+    report = decoherence_functional(family, dynamics,
+                                    tol_consistency=tol_consistency, floor=floor)
+    _require_consistent(report)
+    included = family.included_indices()
+    weights = np.maximum(report.weights[list(included)], 0.0)
+    total = weights.sum()
+    if total <= floor:
+        raise WeightError("family carries no weight to sample from")
+    rng = np.random.default_rng(seed)
+    return included, rng.choice(len(included), size=size, p=weights / total)
+
+
 def sample_history(family: HistoryFamily, dynamics: Dynamics, seed: int,
                    size: int | None = None,
                    tol_consistency: float = TOL_CONSISTENCY,
@@ -309,17 +363,16 @@ def sample_history(family: HistoryFamily, dynamics: Dynamics, seed: int,
     Exactly one history of a family occurs; this picks it.  Returns a single
     label when size is None, else a list of labels.
     """
-    report = decoherence_functional(family, dynamics,
-                                    tol_consistency=tol_consistency, floor=floor)
-    _require_consistent(report)
-    included = family.included_indices()
-    weights = np.array([max(float(report.weights[i]), 0.0) for i in included])
-    total = weights.sum()
-    if total <= floor:
-        raise WeightError("family carries no weight to sample from")
-    probs = weights / total
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(included), size=size, p=probs)
+    included, picks = _draw(family, dynamics, seed, size, tol_consistency, floor)
     if size is None:
         return family.histories[included[int(picks)]].label
     return [family.histories[included[int(i)]].label for i in picks]
+
+
+def sample_counts(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int,
+                  tol_consistency: float = TOL_CONSISTENCY,
+                  floor: float = CONSISTENCY_FLOOR) -> np.ndarray:
+    """How often each non-throwaway history (in `included_indices` order) is
+    drawn in `size` draws: the tally of `sample_history`'s draws for the seed."""
+    included, picks = _draw(family, dynamics, seed, size, tol_consistency, floor)
+    return np.bincount(picks, minlength=len(included))

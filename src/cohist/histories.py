@@ -407,11 +407,21 @@ def family_compatible(f1: HistoryFamily, f2: HistoryFamily,
     commute = _pair_table(h1s, h2s, lambda a, b: commutes(a, b, tol))
     if np.any(overlap & ~commute):
         return False
+    # Refined factors are validated once per distinct (A, B), keyed by id()
+    # as in `_pair_table`; the refined histories share the objects.
+    products: dict[tuple[int, int], Operator] = {}
+
+    def product(a: Operator, b: Operator) -> Operator:
+        key = (id(a), id(b))
+        if key not in products:
+            products[key] = Operator(a.matrix @ b.matrix, a.dims, flavor="projector",
+                                     tol=tol)
+        return products[key]
+
     refined: list[History] = []
     for i, j in np.argwhere(overlap):
         h1, h2 = h1s[i], h2s[j]
-        prods = [Operator(a.matrix @ b.matrix, a.dims, flavor="projector", tol=tol)
-                 for a, b in zip(h1.factors, h2.factors)]
+        prods = [product(a, b) for a, b in zip(h1.factors, h2.factors)]
         kind = KIND_THROWAWAY if KIND_THROWAWAY in (h1.kind, h2.kind) else KIND_NORMAL
         label = tuple(f"{a}&{b}" for a, b in zip(h1.label, h2.label))
         refined.append(History(prods, label, kind=kind))

@@ -26,15 +26,12 @@ from .errors import CohistError, ParseError, ValidationError
 from .models import LocalityExperiment
 from .operators import Ket, Operator
 
-TOLERANCE_NAMES = ("tol_alg", "tol_norm", "tol_consistency", "tol_prob", "floor")
-
 DEFAULT_TOLERANCES = {
     "tol_alg": op_mod.TOL_ALG,
-    "tol_norm": op_mod.TOL_NORM,
     "tol_consistency": dyn_mod.TOL_CONSISTENCY,
-    "tol_prob": dyn_mod.TOL_PROB,
     "floor": dyn_mod.CONSISTENCY_FLOOR,
 }
+TOLERANCE_NAMES = tuple(DEFAULT_TOLERANCES)
 
 QUERY_KINDS = ("consistency", "probability", "conditional", "compatibility",
                "refinement", "povm", "locality", "sample")

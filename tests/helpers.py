@@ -90,3 +90,47 @@ def dense_families_commute(f1, f2, tol=1e-10):
             if not np.linalg.norm(a @ b - b @ a) <= tol:
                 return False
     return True
+
+
+# Per-element references for the array-native decoherence functional and
+# report code: the loops the library replaced, kept as oracles.
+
+def loop_chain(history, dynamics):
+    """F_f T_f ... F_1 T_1 F_0 by one matmul pair per time."""
+    k = history.factors[0].matrix
+    for m in range(1, history.n_times):
+        k = history.factors[m].matrix @ (dynamics.steps[m - 1].matrix @ k)
+    return k
+
+
+def trace_gram(histories, dynamics):
+    """D(a, b) = Tr[K_a^dag K_b], one trace per pair."""
+    chains = [loop_chain(h, dynamics) for h in histories]
+    return np.array([[np.trace(a.conj().T @ b) for b in chains] for a in chains])
+
+
+def pairwise_verdict(matrix, weights, tol_consistency, floor):
+    """(consistent, max_offdiag_abs, max_offdiag_rel), one pair at a time."""
+    n = len(weights)
+    consistent = True
+    max_abs = 0.0
+    max_rel = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            off = abs(matrix[i, j])
+            scale = float(np.sqrt(max(weights[i], 0.0) * max(weights[j], 0.0)))
+            max_abs = max(max_abs, off)
+            if scale > floor:
+                max_rel = max(max_rel, off / scale)
+            if off > max(tol_consistency * scale, floor):
+                consistent = False
+    return consistent, max_abs, max_rel
+
+
+def per_element_rows(matrix):
+    """Machine-report matrix rows, one formatted complex entry at a time."""
+    def c(z):
+        z = complex(z)
+        return f"{z.real:.16e}{z.imag:+.16e}i"
+
+    return ["row " + " ".join(c(z) for z in row) for row in matrix]

@@ -1,9 +1,11 @@
 """CLI dispatch, report formats, exit codes, demo corpus."""
 
+import numpy as np
 import pytest
 
-from cohist.cli import main, run_text
+from cohist.cli import Record, main, run_text
 from cohist.demos import DEMOS, demo_text, list_demos
+from helpers import per_element_rows
 
 MINIMAL = """\
 scenario tiny
@@ -103,6 +105,18 @@ class TestRunText:
         assert machine_value(a, "sample", "seed") == "3"
         assert machine_value(b, "sample", "seed") == "99"
 
+    @pytest.mark.parametrize("name", ["tol_norm", "tol_prob"])
+    def test_unused_tolerance_names_rejected(self, name):
+        line = MINIMAL.replace("system spin dim 2\n",
+                               f"system spin dim 2\ntolerance {name} 0.5\n")
+        report, status = run_text(line, machine=True)
+        assert status == 2
+        assert report == f"error: line 3: unknown tolerance {name!r}\n"
+        report, status = run_text(MINIMAL, machine=True,
+                                  tolerance_overrides={name: 0.5})
+        assert status == 2
+        assert report == f"error: unknown tolerance {name!r}\n"
+
     def test_tolerance_override_flows_through(self):
         # a loose consistency tolerance flips the inconsistent-triple verdict
         report, status = run_text(demo_text("inconsistent-triple"), machine=True,
@@ -200,6 +214,14 @@ class TestMainEntry:
     def test_tolerance_flag_syntax_error(self, capsys):
         assert main(["--tolerance", "garbage", "demos"]) == 2
 
+    @pytest.mark.parametrize("name", ["tol_norm", "tol_prob"])
+    def test_tolerance_flag_unused_name(self, tmp_path, capsys, name):
+        path = tmp_path / "tiny.chs"
+        path.write_text(MINIMAL)
+        for verb in ("check", "run"):
+            assert main(["--tolerance", f"{name}=0.5", verb, str(path)]) == 2
+            assert capsys.readouterr().err == f"error: unknown tolerance {name!r}\n"
+
     @pytest.mark.parametrize("text, line, words", [
         (NAN_DYNAMICS, 4, "finite"),
         (NON_UNITARY_DYNAMICS, 8, "not unitary"),
@@ -228,3 +250,20 @@ class TestByteDeterminism:
         a, _ = run_text(text, machine=True)
         b, _ = run_text(text, machine=True)
         assert a == b
+
+
+class TestMatrixRows:
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[1 + 2j, -3.5e-17 - 0.25j], [0.0 + 0.0j, 1e300 - 1e-300j]]),
+        np.array([[0.5, -1.0, 2.0], [3.0, 4.0, -5e-9]]),
+        np.array([[0.5 - 0.5j]]),
+        np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+        np.array([[-0.0]]),
+        (np.arange(12) * (1 - 0.5j)).reshape(3, 4).T,
+    ])
+    def test_rows_equal_per_element_format(self, matrix):
+        rec = Record(1, "consistency")
+        rec.add_matrix("dmatrix", matrix)
+        rows, cols = matrix.shape
+        assert rec.lines == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)

@@ -1,5 +1,7 @@
 """Chain operators, decoherence functional, Born weights, sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +23,7 @@ from cohist import (
     fixed_initial_family,
     probability,
     product_family,
+    sample_counts,
     sample_history,
     spin_pd,
     spin_projectors,
@@ -356,6 +359,20 @@ class TestSampling:
         ups = sum(1 for l in labels if l[1] == "z+")
         sigma = np.sqrt(n * 0.25)
         assert abs(ups - n / 2) < 4 * sigma
+
+    @pytest.mark.parametrize("seed", [0, 7, 20260810])
+    def test_counts_tally_the_drawn_labels(self, seed):
+        # a two-time (so consistent) fixed-initial family with a throwaway
+        # history, under dynamics that gives every included history weight
+        rng = np.random.default_rng(103)
+        grid = TimeGrid([0, 1])
+        dyn = Dynamics(grid, [random_unitary(rng, 3)])
+        fam = fixed_initial_family(grid, dyad(random_ket(rng, 3)), [basis_pd(3)])
+        counts = sample_counts(fam, dyn, seed, 5000)
+        drawn = Counter(sample_history(fam, dyn, seed, size=5000))
+        included = fam.included_indices()
+        assert len(included) < fam.n and len(counts) == len(included)
+        assert counts.tolist() == [drawn[fam.histories[i].label] for i in included]
 
     def test_refuses_inconsistent_family(self):
         xp, _ = spin_projectors("x")

@@ -15,10 +15,12 @@ from cohist import (
     OrthogonalityError,
     TimeGrid,
     basis_pd,
+    decoherence_functional,
     dyad,
     family_compatible,
     fixed_initial_family,
     lift_pd,
+    make_pd,
     product_family,
     raw_family,
     spin_pd,
@@ -26,7 +28,13 @@ from cohist import (
     trivial_pd,
     unitary_family,
 )
-from helpers import dense_identity_check, random_ket, random_unitary
+from cohist import histories as hist_mod
+from helpers import (
+    dense_families_commute,
+    dense_identity_check,
+    random_ket,
+    random_unitary,
+)
 
 
 class TestTimeGrid:
@@ -215,6 +223,39 @@ class TestFamilyCompatibility:
         f2 = fixed_initial_family(grid, xp, [trivial_pd(2), spin_pd("x")],
                                   dynamics=dyn)
         assert not family_compatible(f1, f2)
+
+    @pytest.mark.parametrize("dynamics", ["none", "trivial", "random"])
+    def test_refined_products_built_once_per_distinct_pair(self, monkeypatch,
+                                                           dynamics):
+        # 27 basis histories against 8 coarse ones: 27 overlapping pairs of
+        # 3 factors each, but only p0 q0, p1 q0 and p2 q1 as distinct products.
+        grid = TimeGrid([0, 1, 2])
+        fine = product_family(grid, [basis_pd(3)] * 3)
+        q = make_pd([Operator(np.diag([1.0, 1.0, 0.0]), (3,), flavor="projector"),
+                     Operator(np.diag([0.0, 0.0, 1.0]), (3,), flavor="projector")])
+        coarse = product_family(grid, [q] * 3)
+        if dynamics == "trivial":
+            dyn = Dynamics.trivial(grid, 3)
+        elif dynamics == "random":
+            rng = np.random.default_rng(11)
+            dyn = Dynamics(grid, [random_unitary(rng, 3) for _ in range(2)])
+        else:
+            dyn = None
+        built = []
+
+        def counting(matrix, *args, **kwargs):
+            built.append(matrix)
+            return Operator(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(hist_mod, "Operator", counting)
+        verdict = family_compatible(fine.attach(dyn) if dyn else fine, coarse)
+        assert len(built) == 3
+        # Each product p_i q equals p_i, so the refinement is the fine family.
+        if dyn is None:
+            assert verdict is dense_families_commute(fine, coarse) is True
+        else:
+            assert verdict == decoherence_functional(fine, dyn).consistent
+            assert verdict == (dynamics == "trivial")
 
     def test_with_dynamics_consistent_refinement_passes(self):
         grid = TimeGrid([0, 1, 2])
