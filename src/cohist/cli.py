@@ -44,6 +44,10 @@ def _f(x: float) -> str:
     return f"{float(x):.16e}"
 
 
+_ENTRY = "%.16e%+.16ei"
+_ZERO = _ENTRY % (0.0, 0.0)
+
+
 def _b(x: bool) -> str:
     return "true" if x else "false"
 
@@ -67,15 +71,19 @@ class Record:
     def add_matrix(self, key: str, matrix: np.ndarray) -> None:
         """One `row` line per matrix row, each entry `re+imi` to 17 digits.
 
-        Each row is formatted by one %-format over its interleaved real and
-        imaginary parts; only one row at a time becomes Python floats.
+        Each row is formatted by one %-format over the entries that are not
+        exactly +0+0i (bit pattern zero in both parts; -0.0 is formatted);
+        the exact zeros are literal text in that row's template.  Only one
+        row at a time becomes Python floats.
         """
         rows, cols = matrix.shape
         self.add(key, f"{rows} {cols}")
-        parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
-        row_format = "row " + " ".join(["%.16e%+.16ei"] * cols)
-        for r in range(rows):
-            self.lines.append(row_format % tuple(parts[r].tolist()))
+        z = np.ascontiguousarray(matrix, dtype=np.complex128)
+        keep = z.view(np.int64).reshape(rows, cols, 2).any(axis=2)
+        for row, row_keep in zip(z, keep):
+            template = "row " + " ".join([_ENTRY if k else _ZERO
+                                          for k in row_keep.tolist()])
+            self.lines.append(template % tuple(row[row_keep].view(np.float64).tolist()))
 
     def error(self, err: Exception) -> None:
         self.errored = True
@@ -240,7 +248,7 @@ def render_machine(scenario_name: str, records: list[Record], status: int) -> st
     return "\n".join(out) + "\n"
 
 
-_NUMBER = re.compile(r"[+-]?\d\.\d{16}e[+-]\d{2}")
+_NUMBER = re.compile(r"[+-]?\d\.\d{16}e[+-]\d{2,3}")
 
 
 def _shorten(match: re.Match) -> str:

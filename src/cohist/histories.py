@@ -230,8 +230,10 @@ class HistoryFamily:
         histories is the product of the per-time ||A_m B_m||; the first pair
         (i < j, row-major) above tol is reported.  Mutually exclusive
         projectors sum to a projector of rank sum_a prod_m Tr F_m^a, so the
-        sum is I exactly when that integer is the history-space dimension.
-        Cost: a table per time over its distinct factors, O(n^2) array work.
+        sum is I exactly when that integer is the history-space dimension;
+        each distinct factor's rank is taken once, and the sum is exact in
+        Python ints.  Cost: a table per time over its distinct factors,
+        O(n^2) array work.
         """
         hs = self.histories
         overlap = ~(_pair_table(hs, hs, _product_norm) <= tol)
@@ -242,7 +244,12 @@ class HistoryFamily:
                 f"histories {hs[i].display_label()!r} and "
                 f"{hs[j].display_label()!r} are not mutually exclusive"
             )
-        rank = sum(math.prod(round(f.trace().real) for f in h.factors) for h in hs)
+        per_time = []
+        for m in range(self.grid.n_times):
+            ops, idx = _distinct([h.factors[m] for h in hs])
+            ranks = [round(op.trace().real) for op in ops]
+            per_time.append([ranks[k] for k in idx])
+        rank = sum(math.prod(r) for r in zip(*per_time))
         deficit = self.space.total_dim - rank
         if deficit:
             raise CompletenessError(

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cohist.cli import Record, main, run_text
+from cohist import decoherence_functional
+from cohist.cli import Record, _f, main, render_human, run_text
 from cohist.demos import DEMOS, demo_text, list_demos
+from cohist.scenario import parse, resolve
 from helpers import per_element_rows
 
 MINIMAL = """\
@@ -252,6 +256,52 @@ class TestByteDeterminism:
         assert a == b
 
 
+# Raw families put exact zeros in D: histories that end (or start) in
+# different basis states have chains with disjoint nonzero rows.
+RAW_BASIS = """\
+scenario raw-basis
+system s dim 2
+state e0 system s basis 0
+state e1 system s basis 1
+operator p0 system s dyad e0
+operator p1 system s dyad e1
+operator ham system s matrix 0.3+0i 0.2-0.5i ; 0.2+0.5i -0.7+0i
+grid g times 0 0.7 1.9
+dynamics dyn system s grid g hamiltonian ham
+""" + "".join(f"history h{a}{b}{c} factors p{a} p{b} p{c}\n"
+              for a in "01" for b in "01" for c in "01") + """\
+family basis system s grid g raw h000 h001 h010 h011 h100 h101 h110 h111
+query consistency family basis dynamics dyn
+"""
+
+# Parts of matrix entries: the values where formatting is most fragile.
+SPECIAL_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                     5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats())
+
+
+@st.composite
+def report_matrices(draw):
+    """A small matrix, mostly exact +0+0i, of a complex or real dtype,
+    possibly a transposed or strided view."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = [complex(draw(SPECIAL_PARTS), draw(SPECIAL_PARTS))
+               if draw(st.integers(0, 3)) == 0 else 0j
+               for _ in range(rows * cols)]
+    matrix = np.array(entries, dtype=np.complex128).reshape(rows, cols)
+    if draw(st.booleans()):
+        matrix = matrix.real.copy()
+    view = draw(st.sampled_from(["plain", "transposed", "rows", "cols"]))
+    if view == "transposed":
+        matrix = matrix.T
+    elif view == "rows":
+        matrix = matrix[::2]
+    elif view == "cols":
+        matrix = matrix[:, ::2]
+    return matrix
+
+
 class TestMatrixRows:
 
     @pytest.mark.parametrize("matrix", [
@@ -267,3 +317,43 @@ class TestMatrixRows:
         rec.add_matrix("dmatrix", matrix)
         rows, cols = matrix.shape
         assert rec.lines == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(report_matrices())
+    @example(np.zeros((0, 3), dtype=complex))
+    @example(np.zeros((1, 1), dtype=complex))
+    @example(np.array([[complex(0.0, -0.0)], [complex(-0.0, 0.0)], [0j]]))
+    @example(np.array([[5e-324, -0.0, 1e-300]]).T)
+    def test_drawn_rows_equal_per_element_format(self, matrix):
+        rec = Record(1, "consistency")
+        rec.add_matrix("dmatrix", matrix)
+        rows, cols = matrix.shape
+        assert rec.lines == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
+
+    def test_raw_basis_record_equals_per_element_rows(self):
+        env = resolve(parse(RAW_BASIS))
+        d = decoherence_functional(env.families["basis"], env.dynamics["dyn"]).matrix
+        assert np.count_nonzero(d == 0) > 0
+        report, status = run_text(RAW_BASIS, machine=True)
+        assert status == 0
+        lines = report.splitlines()
+        at = lines.index("dmatrix 8 8")
+        assert lines[at + 1:at + 9] == per_element_rows(d)
+        assert lines[at + 9] == "end"
+
+
+class TestHumanNumbers:
+
+    @pytest.mark.parametrize("value, short", [
+        (9.9999999e-300, "1e-299"),
+        (1.23456789e-150, "1.23457e-150"),
+        (5e-324, "4.94066e-324"),
+        (1e300, "1e+300"),
+    ])
+    def test_three_digit_exponents_shorten_whole(self, value, short):
+        rec = Record(1, "probability")
+        rec.add("value", _f(value))
+        rec.add_matrix("matrix", np.array([[complex(value, -value)]]))
+        text = render_human("s", [rec], 0)
+        assert f"  value {short}\n" in text
+        assert f"  row {short}-{short}i\n" in text

@@ -6,6 +6,9 @@ compare them with explicit kron products on random small product families
 (d <= 3, up to three times), where the dense matrices are cheap.
 """
 
+import math
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -128,3 +131,31 @@ def test_pair_table_runs_once_per_distinct_factor_pair():
                           for a, b in zip(h1.factors, h2.factors)])
                  for h2 in fam.histories] for h1 in fam.histories]
     assert np.array_equal(table, np.array(expected))
+
+
+def test_validate_takes_each_distinct_factor_rank_once():
+    fam = product_family(TimeGrid([0, 1, 2]), [spin_pd("z"), spin_pd("x"), spin_pd("z")])
+    calls = []
+    trace = Operator.trace
+
+    def counted(op):
+        calls.append(op)
+        return trace(op)
+
+    with patch.object(Operator, "trace", counted):
+        fam.validate()
+    assert len(calls) == 3 * 2
+
+
+def test_rank_sum_is_exact_past_int64():
+    # 70 times on a qubit: the history space has dimension 2^70.
+    n_times = 70
+    grid = TimeGrid(range(n_times))
+    ident = Operator.identity(2)
+    plus, minus = spin_pd("z").projectors
+    hs = [History([p] + [ident] * (n_times - 1), [lab] + ["I"] * (n_times - 1))
+          for p, lab in ((plus, "z+"), (minus, "z-"))]
+    raw_family(grid, hs)
+    with pytest.raises(CompletenessError) as err:
+        raw_family(grid, hs[:1])
+    assert f"||sum - I|| = {math.sqrt(2 ** 69):.3e}" in str(err.value)
