@@ -189,11 +189,9 @@ def _run_locality(rec: Record, payload: dict, env: Environment) -> None:
     rec.add("passed", _b(report.passed))
 
 
-def _run_sample(rec: Record, payload: dict, env: Environment,
-                seed_override: int | None) -> None:
+def _run_sample(rec: Record, payload: dict, env: Environment) -> None:
     family, dynamics = payload["family"], payload["dynamics"]
-    count = payload["count"]
-    seed = seed_override if seed_override is not None else payload["seed"]
+    count, seed = payload["count"], payload["seed"]
     counts = sample_counts(family, dynamics, seed, count,
                            tol_consistency=env.tol("tol_consistency"),
                            floor=env.tol("floor"))
@@ -203,34 +201,38 @@ def _run_sample(rec: Record, payload: dict, env: Environment,
         rec.add("draws", f"{_label(family.histories[i].label)} {drawn}")
 
 
+# query kind -> (runner, the query arguments echoed at the top of its record)
+RUNNERS = {
+    "consistency": (_run_consistency, ("family", "dynamics")),
+    "probability": (_run_probability, ("family", "dynamics")),
+    "conditional": (_run_conditional, ("family", "dynamics")),
+    "compatibility": (_run_compatibility, ("pds", "families", "dynamics")),
+    "refinement": (_run_refinement, ("fine", "coarse")),
+    "povm": (_run_povm, ("pd", "state")),
+    "locality": (_run_locality, ("locality",)),
+    "sample": (_run_sample, ("family", "dynamics")),
+}
+
+
 def execute(scenario: Scenario, env: Environment,
             seed_override: int | None = None) -> tuple[list[Record], int]:
-    """Run every bound query in order; query errors are recorded, not fatal."""
+    """Run every bound query in order; query errors are recorded, not fatal.
+
+    `seed_override` replaces the seed of every query that has one.
+    """
     records: list[Record] = []
     status = 0
     for i, bound in enumerate(env.queries, start=1):
         rec = Record(i, bound.kind)
+        runner, echoed = RUNNERS[bound.kind]
         for key, value in bound.decl.args:
-            if key in ("family", "dynamics", "pds", "families", "fine", "coarse",
-                       "pd", "state", "locality"):
+            if key in echoed:
                 rec.add(key, value)
+        payload = bound.payload
+        if seed_override is not None and "seed" in payload:
+            payload = {**payload, "seed": seed_override}
         try:
-            if bound.kind == "consistency":
-                _run_consistency(rec, bound.payload, env)
-            elif bound.kind == "probability":
-                _run_probability(rec, bound.payload, env)
-            elif bound.kind == "conditional":
-                _run_conditional(rec, bound.payload, env)
-            elif bound.kind == "compatibility":
-                _run_compatibility(rec, bound.payload, env)
-            elif bound.kind == "refinement":
-                _run_refinement(rec, bound.payload, env)
-            elif bound.kind == "povm":
-                _run_povm(rec, bound.payload, env)
-            elif bound.kind == "locality":
-                _run_locality(rec, bound.payload, env)
-            elif bound.kind == "sample":
-                _run_sample(rec, bound.payload, env, seed_override)
+            runner(rec, payload, env)
         except CohistError as err:
             rec.error(err)
             status = 1

@@ -59,10 +59,6 @@ class Dynamics:
         return cls(grid, [u] * grid.f)
 
     @classmethod
-    def from_unitaries(cls, grid: TimeGrid, unitaries: Sequence[Operator]) -> "Dynamics":
-        return cls(grid, unitaries)
-
-    @classmethod
     def from_hamiltonian(cls, grid: TimeGrid, hamiltonian: Operator,
                          tol: float = TOL_ALG) -> "Dynamics":
         """Steps exp(-i dt H), with hbar treated as 1.

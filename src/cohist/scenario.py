@@ -6,17 +6,21 @@ locality) or one query; '#' starts a comment.  Names must be declared before
 they are referenced.  Complex numbers are written as "re+imi" pairs, e.g.
 "0.5-0.25i"; matrix rows are separated by ';'.
 
-Parsing yields a `Scenario` of declaration records; `resolve` builds the
-actual objects and validates every reference and every algebraic
-precondition before any query runs.
+Every statement kind but `scenario` and `query` is one row of `GRAMMAR`: its
+usage line, its Decl class, the `Environment` table it fills and the builder
+of its object.  One matcher parses a line against its row, one formatter
+writes a Decl back through it, and `resolve` walks the same rows.  Parsing
+yields a `Scenario` of declaration records; `resolve` builds the actual
+objects and validates every reference and every algebraic precondition
+before any query runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+import math
+import re
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Sequence
 
 from . import dynamics as dyn_mod
 from . import framework as fw
@@ -67,30 +71,18 @@ def parse_int(token: str, line: int | None = None) -> int:
 
 
 def parse_complex(token: str, line: int | None = None) -> complex:
+    """A real number, or `re+imi` / `imi` with Python's complex syntax."""
     s = token.strip()
     try:
-        if not s.endswith("i"):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        split = None
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "eE":
-                split = i
-                break
-        if split is None:
-            re_part, im_part = "", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im = 1.0
-        elif im_part == "-":
-            im = -1.0
-        else:
-            im = float(im_part)
-        re = float(re_part) if re_part else 0.0
-        return complex(re, im)
+        return complex(s[:-1] + "j") if s.endswith("i") else complex(float(s), 0.0)
     except ValueError:
         raise ParseError(f"bad complex number {token!r}", line) from None
+
+
+def _parse_sign(token: str, line: int | None = None) -> str:
+    if token not in ("+", "-"):
+        raise ParseError(f"expected a sign '+' or '-', got {token!r}", line)
+    return token
 
 
 @dataclass(frozen=True)
@@ -98,9 +90,6 @@ class ToleranceDecl:
     name: str
     value: float
     line: int = field(default=0, compare=False)
-
-    def to_line(self) -> str:
-        return f"tolerance {self.name} {format_float(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -110,10 +99,9 @@ class SystemDecl:
     factors: tuple[str, ...] = ()
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        if self.factors:
-            return f"system {self.name} factors {' '.join(self.factors)}"
-        return f"system {self.name} dim {self.dim}"
+    @property
+    def kind(self) -> str:
+        return "factors" if self.factors else "dim"
 
 
 @dataclass(frozen=True)
@@ -125,16 +113,6 @@ class StateDecl:
     index: int = 0
     parts: tuple[str, ...] = ()
     line: int = field(default=0, compare=False)
-
-    def to_line(self) -> str:
-        head = f"state {self.name} system {self.system}"
-        if self.kind == "amps":
-            return f"{head} amps {' '.join(format_complex(a) for a in self.amps)}"
-        if self.kind == "basis":
-            return f"{head} basis {self.index}"
-        if self.kind == "singlet":
-            return f"{head} singlet"
-        return f"{head} tensor {' '.join(self.parts)}"
 
 
 @dataclass(frozen=True)
@@ -152,24 +130,6 @@ class OperatorDecl:
     hi: float = 0.0
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        head = f"operator {self.name} system {self.system}"
-        if self.kind == "matrix":
-            rows = " ; ".join(" ".join(format_complex(z) for z in row)
-                              for row in self.rows)
-            return f"{head} matrix {rows}"
-        if self.kind == "dyad":
-            return f"{head} dyad {self.state}"
-        if self.kind == "identity":
-            return f"{head} identity"
-        if self.kind == "tensor":
-            return f"{head} tensor {' '.join(self.parts)}"
-        if self.kind == "spin":
-            return f"{head} spin {self.axis} {self.sign}"
-        points = " ".join(format_float(x) for x in self.grid_points)
-        return (f"{head} interval grid {points} window "
-                f"{format_float(self.lo)} {format_float(self.hi)}")
-
 
 @dataclass(frozen=True)
 class PdDecl:
@@ -185,29 +145,12 @@ class PdDecl:
     hi: float = 0.0
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        head = f"pd {self.name} system {self.system}"
-        if self.kind == "spin":
-            return f"{head} spin {self.axis}"
-        if self.kind in ("basis", "trivial"):
-            return f"{head} {self.kind}"
-        if self.kind in ("projectors", "dyads", "tensor"):
-            return f"{head} {self.kind} {' '.join(self.members)}"
-        if self.kind == "lift":
-            return f"{head} lift {self.inner} slot {self.slot}"
-        points = " ".join(format_float(x) for x in self.grid_points)
-        return (f"{head} interval grid {points} window "
-                f"{format_float(self.lo)} {format_float(self.hi)}")
-
 
 @dataclass(frozen=True)
 class GridDecl:
     name: str
     times: tuple[float, ...]
     line: int = field(default=0, compare=False)
-
-    def to_line(self) -> str:
-        return f"grid {self.name} times {' '.join(format_float(t) for t in self.times)}"
 
 
 @dataclass(frozen=True)
@@ -219,23 +162,12 @@ class DynamicsDecl:
     ops: tuple[str, ...] = ()
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        head = f"dynamics {self.name} system {self.system} grid {self.grid}"
-        if self.kind == "trivial":
-            return f"{head} trivial"
-        if self.kind == "unitaries":
-            return f"{head} unitaries {' '.join(self.ops)}"
-        return f"{head} hamiltonian {self.ops[0]}"
-
 
 @dataclass(frozen=True)
 class HistoryDecl:
     name: str
     factors: tuple[str, ...]
     line: int = field(default=0, compare=False)
-
-    def to_line(self) -> str:
-        return f"history {self.name} factors {' '.join(self.factors)}"
 
 
 @dataclass(frozen=True)
@@ -251,16 +183,6 @@ class FamilyDecl:
     histories: tuple[str, ...] = ()
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        head = f"family {self.name} system {self.system} grid {self.grid}"
-        if self.kind == "product":
-            return f"{head} product {' '.join(self.pds)}"
-        if self.kind == "fixed":
-            return f"{head} fixed {self.initial} {' '.join(self.pds)}"
-        if self.kind == "unitary":
-            return f"{head} unitary {self.state} {self.dynamics}"
-        return f"{head} raw {' '.join(self.histories)}"
-
 
 @dataclass(frozen=True)
 class LocalityHeadDecl:
@@ -273,11 +195,6 @@ class LocalityHeadDecl:
     pds: tuple[str, ...]
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        return (f"locality {self.name} systems {self.sys_a} {self.sys_b} "
-                f"{self.sys_c} grid {self.grid} initial {self.initial} "
-                f"pds {' '.join(self.pds)}")
-
 
 @dataclass(frozen=True)
 class LocalityStepDecl:
@@ -286,18 +203,12 @@ class LocalityStepDecl:
     op_bc: str
     line: int = field(default=0, compare=False)
 
-    def to_line(self) -> str:
-        return f"locality {self.name} step {self.op_a} {self.op_bc}"
-
 
 @dataclass(frozen=True)
 class LocalityStateDecl:
     name: str
     state: str
     line: int = field(default=0, compare=False)
-
-    def to_line(self) -> str:
-        return f"locality {self.name} cstate {self.state}"
 
 
 @dataclass(frozen=True)
@@ -313,10 +224,7 @@ class QueryDecl:
         return default
 
     def to_line(self) -> str:
-        parts = [f"query {self.kind}"]
-        for k, v in self.args:
-            parts.append(f"{k} {v}")
-        return " ".join(parts)
+        return " ".join([f"query {self.kind}"] + [f"{k} {v}" for k, v in self.args])
 
 
 @dataclass(frozen=True)
@@ -329,170 +237,113 @@ class Scenario:
         return tuple(s for s in self.statements if isinstance(s, QueryDecl))
 
 
-def _tokens(line: str) -> list[str]:
-    return line.replace(";", " ; ").split()
+# Usage-line syntax.  A bare word is a literal.  `{word}` is the literal that
+# picks the row among its statement's rows; it is stored in the Decl's `kind`
+# field where there is one.  `<field>` takes one token, `<field...>` one or
+# more, `[<field...>]` zero or more, and `<field> <field...>` two or more; a
+# repeated field runs to the next literal or to the end of the line.  A
+# `:type` suffix converts the tokens (int, float, complex, sign, or matrix:
+# complex entries with rows separated by ';'); untyped fields are names.
+_FIELD = re.compile(r"(\[?)<(\w+)(?::(\w+))?(\.\.\.)?>\]?$")
+# field type -> (token parser or None for names, value formatter)
+_TYPES = {"name": (None, str), "int": (parse_int, str),
+          "float": (parse_float, format_float),
+          "complex": (parse_complex, format_complex), "sign": (_parse_sign, str)}
+
+
+@dataclass(frozen=True)
+class _Field:
+    name: str
+    type: str
+    least: int  # fewest tokens
+    many: bool  # may take more than one token
+    stop: str | None = None  # the literal that ends a repeated field
+
+
+class Row:
+    """One statement kind: its usage line, compiled, and how to resolve it.
+
+    `build(env, decl, dims)` makes the object, where `dims` is the looked-up
+    `system` of the Decl (None for Decls without one).  Its result is stored
+    under the Decl's name in the Environment attribute `table`; a row
+    without a table adds to an object declared earlier.
+    """
+
+    def __init__(self, usage: str, decl: type, table: str | None = None,
+                 build: Callable | None = None):
+        self.usage, self.decl, self.table, self.build = usage, decl, table, build
+        self.expected = "expected: " + usage.replace("{", "").replace("}", "")
+        types = {f.name: f.type for f in fields(decl)}
+        self.tuples = {name for name, t in types.items() if t.startswith("tuple")}
+        self.sets_kind = "kind" in types
+        self.on_system = "system" in types
+        self.head = usage.split()[0]
+        self.kind = self.kind_at = None  # the {word} and its position
+        items: list = []
+        for pos, word in enumerate(usage.split()):
+            m = _FIELD.match(word)
+            if m is None:
+                if word.startswith("{"):
+                    word = self.kind = word[1:-1]
+                    self.kind_at = pos
+                if items and getattr(items[-1], "many", False):
+                    items[-1] = replace(items[-1], stop=word)
+                items.append(word)
+            elif isinstance(items[-1], _Field) and items[-1].name == m[2]:
+                items[-1] = replace(items[-1], least=items[-1].least + 1, many=True)
+            else:
+                items.append(_Field(m[2], m[3] or "name", 0 if m[1] else 1, bool(m[4])))
+        self.items = tuple(items)
+
+    def match(self, tokens: list[str], n: int):
+        """The Decl that `tokens` (line `n`) spell, or ParseError."""
+        values = {"kind": self.kind} if self.sets_kind else {}
+        i, end = 0, len(tokens)
+        for item in self.items:
+            if type(item) is str:
+                if i == end or tokens[i] != item:
+                    raise ParseError(self.expected, n)
+                i += 1
+                continue
+            j = i + 1
+            if item.many:
+                j = tokens.index(item.stop, i) if item.stop in tokens[i:] else end
+            if j - i < item.least or j > end:
+                raise ParseError(self.expected, n)
+            if item.type == "matrix":
+                values[item.name] = _split_rows(tokens[i:j], n)
+            else:
+                parse_token = _TYPES[item.type][0]
+                vals = tokens[i:j] if parse_token is None else [
+                    parse_token(t, n) for t in tokens[i:j]]
+                values[item.name] = tuple(vals) if item.name in self.tuples else vals[0]
+            i = j
+        if i != end:
+            raise ParseError(self.expected, n)
+        return self.decl(**values, line=n)
+
+    def format(self, decl) -> str:
+        out = []
+        for item in self.items:
+            if type(item) is str:
+                out.append(item)
+            elif item.type == "matrix":
+                out.append(" ; ".join(" ".join(map(format_complex, row))
+                                      for row in getattr(decl, item.name)))
+            elif item.name in self.tuples:
+                out.extend(map(_TYPES[item.type][1], getattr(decl, item.name)))
+            else:
+                out.append(_TYPES[item.type][1](getattr(decl, item.name)))
+        return " ".join(out)
 
 
 def _split_rows(tokens: Sequence[str], line: int) -> tuple[tuple[complex, ...], ...]:
-    rows: list[tuple[complex, ...]] = []
-    current: list[complex] = []
-    for tok in tokens:
-        if tok == ";":
-            if not current:
-                raise ParseError("empty matrix row", line)
-            rows.append(tuple(current))
-            current = []
-        else:
-            current.append(parse_complex(tok, line))
-    if current:
-        rows.append(tuple(current))
-    if not rows:
-        raise ParseError("matrix has no entries", line)
-    return tuple(rows)
-
-
-def _parse_state(tokens: list[str], n: int) -> StateDecl:
-    if len(tokens) < 5 or tokens[2] != "system":
-        raise ParseError("expected: state <name> system <sys> <kind> ...", n)
-    name, system, kind = tokens[1], tokens[3], tokens[4]
-    rest = tokens[5:]
-    if kind == "amps":
-        if not rest:
-            raise ParseError("state amps needs at least one amplitude", n)
-        return StateDecl(name, system, "amps",
-                         amps=tuple(parse_complex(t, n) for t in rest), line=n)
-    if kind == "basis":
-        if len(rest) != 1:
-            raise ParseError("state basis needs one index", n)
-        return StateDecl(name, system, "basis", index=parse_int(rest[0], n), line=n)
-    if kind == "singlet":
-        if rest:
-            raise ParseError("state singlet takes no arguments", n)
-        return StateDecl(name, system, "singlet", line=n)
-    if kind == "tensor":
-        if len(rest) < 2:
-            raise ParseError("state tensor needs at least two parts", n)
-        return StateDecl(name, system, "tensor", parts=tuple(rest), line=n)
-    raise ParseError(f"unknown state kind {kind!r}", n)
-
-
-def _parse_operator(tokens: list[str], n: int) -> OperatorDecl:
-    if len(tokens) < 5 or tokens[2] != "system":
-        raise ParseError("expected: operator <name> system <sys> <kind> ...", n)
-    name, system, kind = tokens[1], tokens[3], tokens[4]
-    rest = tokens[5:]
-    if kind == "matrix":
-        return OperatorDecl(name, system, "matrix", rows=_split_rows(rest, n), line=n)
-    if kind == "dyad":
-        if len(rest) != 1:
-            raise ParseError("operator dyad needs one state name", n)
-        return OperatorDecl(name, system, "dyad", state=rest[0], line=n)
-    if kind == "identity":
-        if rest:
-            raise ParseError("operator identity takes no arguments", n)
-        return OperatorDecl(name, system, "identity", line=n)
-    if kind == "tensor":
-        if len(rest) < 2:
-            raise ParseError("operator tensor needs at least two parts", n)
-        return OperatorDecl(name, system, "tensor", parts=tuple(rest), line=n)
-    if kind == "spin":
-        if len(rest) != 2 or rest[1] not in ("+", "-"):
-            raise ParseError("expected: operator ... spin <axis> <+|->", n)
-        return OperatorDecl(name, system, "spin", axis=rest[0], sign=rest[1], line=n)
-    if kind == "interval":
-        return OperatorDecl(name, system, "interval", line=n,
-                            **_parse_interval(rest, n))
-    raise ParseError(f"unknown operator kind {kind!r}", n)
-
-
-def _parse_interval(rest: list[str], n: int) -> dict:
-    if not rest or rest[0] != "grid" or "window" not in rest:
-        raise ParseError("expected: ... interval grid <x...> window <lo> <hi>", n)
-    w = rest.index("window")
-    points = tuple(parse_float(t, n) for t in rest[1:w])
-    tail = rest[w + 1:]
-    if len(tail) != 2:
-        raise ParseError("interval window needs exactly two bounds", n)
-    return {"grid_points": points, "lo": parse_float(tail[0], n),
-            "hi": parse_float(tail[1], n)}
-
-
-def _parse_pd(tokens: list[str], n: int) -> PdDecl:
-    if len(tokens) < 5 or tokens[2] != "system":
-        raise ParseError("expected: pd <name> system <sys> <kind> ...", n)
-    name, system, kind = tokens[1], tokens[3], tokens[4]
-    rest = tokens[5:]
-    if kind == "spin":
-        if len(rest) != 1:
-            raise ParseError("pd spin needs one axis", n)
-        return PdDecl(name, system, "spin", axis=rest[0], line=n)
-    if kind in ("basis", "trivial"):
-        if rest:
-            raise ParseError(f"pd {kind} takes no arguments", n)
-        return PdDecl(name, system, kind, line=n)
-    if kind in ("projectors", "dyads", "tensor"):
-        if not rest:
-            raise ParseError(f"pd {kind} needs member names", n)
-        return PdDecl(name, system, kind, members=tuple(rest), line=n)
-    if kind == "lift":
-        if len(rest) != 3 or rest[1] != "slot":
-            raise ParseError("expected: pd ... lift <pd> slot <k>", n)
-        return PdDecl(name, system, "lift", inner=rest[0],
-                      slot=parse_int(rest[2], n), line=n)
-    if kind == "interval":
-        return PdDecl(name, system, "interval", line=n, **_parse_interval(rest, n))
-    raise ParseError(f"unknown pd kind {kind!r}", n)
-
-
-def _parse_family(tokens: list[str], n: int) -> FamilyDecl:
-    if (len(tokens) < 7 or tokens[2] != "system" or tokens[4] != "grid"):
-        raise ParseError(
-            "expected: family <name> system <sys> grid <grid> <kind> ...", n)
-    name, system, grid, kind = tokens[1], tokens[3], tokens[5], tokens[6]
-    rest = tokens[7:]
-    if kind == "product":
-        if not rest:
-            raise ParseError("family product needs one pd per time", n)
-        return FamilyDecl(name, system, grid, "product", pds=tuple(rest), line=n)
-    if kind == "fixed":
-        if len(rest) < 2:
-            raise ParseError("family fixed needs an initial ref and later pds", n)
-        return FamilyDecl(name, system, grid, "fixed", initial=rest[0],
-                          pds=tuple(rest[1:]), line=n)
-    if kind == "unitary":
-        if len(rest) != 2:
-            raise ParseError("expected: family ... unitary <state> <dynamics>", n)
-        return FamilyDecl(name, system, grid, "unitary", state=rest[0],
-                          dynamics=rest[1], line=n)
-    if kind == "raw":
-        if not rest:
-            raise ParseError("family raw needs history names", n)
-        return FamilyDecl(name, system, grid, "raw", histories=tuple(rest), line=n)
-    raise ParseError(f"unknown family kind {kind!r}", n)
-
-
-def _parse_locality(tokens: list[str], n: int):
-    if len(tokens) < 3:
-        raise ParseError("truncated locality statement", n)
-    name, verb = tokens[1], tokens[2]
-    if verb == "systems":
-        rest = tokens[3:]
-        if (len(rest) < 8 or rest[3] != "grid" or rest[5] != "initial"
-                or rest[7] != "pds"):
-            raise ParseError(
-                "expected: locality <name> systems <a> <b> <c> grid <g> "
-                "initial <state> pds <pd...>", n)
-        return LocalityHeadDecl(name, rest[0], rest[1], rest[2], rest[4],
-                                rest[6], tuple(rest[8:]), line=n)
-    if verb == "step":
-        if len(tokens) != 5:
-            raise ParseError("expected: locality <name> step <opA> <opBC>", n)
-        return LocalityStepDecl(name, tokens[3], tokens[4], line=n)
-    if verb == "cstate":
-        if len(tokens) != 4:
-            raise ParseError("expected: locality <name> cstate <state>", n)
-        return LocalityStateDecl(name, tokens[3], line=n)
-    raise ParseError(f"unknown locality verb {verb!r}", n)
+    rows = [row.split() for row in " ".join(tokens).split(";")]
+    if len(rows) > 1 and not rows[-1]:
+        rows.pop()  # a trailing ';' closes the last row
+    if not all(rows):
+        raise ParseError("empty matrix row", line)
+    return tuple(tuple(parse_complex(t, line) for t in row) for row in rows)
 
 
 def _parse_query(tokens: list[str], n: int) -> QueryDecl:
@@ -520,6 +371,28 @@ def _parse_query(tokens: list[str], n: int) -> QueryDecl:
     return QueryDecl(kind, tuple(args), line=n)
 
 
+def _select(tokens: list[str], n: int) -> Row:
+    """The grammar row that a line's statement and kind tokens name."""
+    if tokens[0] not in _BY_HEAD:
+        raise ParseError(f"unknown statement {tokens[0]!r}", n)
+    rows = _BY_HEAD[tokens[0]]
+    first = next(iter(rows.values()))
+    at = first.kind_at
+    if at is None:
+        return first
+    if at < len(tokens) and tokens[at] in rows:
+        return rows[tokens[at]]
+    choices = " ".join(first.usage.split()[:at] + ["|".join(rows), "..."])
+    if at >= len(tokens):
+        raise ParseError(f"expected: {choices}", n)
+    raise ParseError(f"unknown {tokens[0]} kind {tokens[at]!r}; expected: {choices}", n)
+
+
+def _row_for(decl) -> Row:
+    rows = _BY_DECL[type(decl)]
+    return rows[decl.kind] if len(rows) > 1 else next(iter(rows.values()))
+
+
 def parse(text: str) -> Scenario:
     """Parse scenario text; raises ParseError naming the offending line."""
     name = None
@@ -528,78 +401,19 @@ def parse(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = _tokens(line)
-        head = tokens[0]
-        if head == "scenario":
+        tokens = line.replace(";", " ; ").split()
+        if tokens[0] == "scenario":
             if name is not None:
                 raise ParseError("duplicate scenario line", n)
             if len(tokens) != 2:
                 raise ParseError("expected: scenario <name>", n)
             name = tokens[1]
-            continue
-        if name is None:
+        elif name is None:
             raise ParseError("the first statement must be 'scenario <name>'", n)
-        if head == "tolerance":
-            if len(tokens) != 3:
-                raise ParseError("expected: tolerance <name> <value>", n)
-            statements.append(
-                ToleranceDecl(tokens[1], parse_float(tokens[2], n), line=n))
-        elif head == "system":
-            if len(tokens) >= 4 and tokens[2] == "dim":
-                if len(tokens) != 4:
-                    raise ParseError("expected: system <name> dim <d>", n)
-                statements.append(SystemDecl(tokens[1], dim=parse_int(tokens[3], n),
-                                             line=n))
-            elif len(tokens) >= 4 and tokens[2] == "factors":
-                statements.append(SystemDecl(tokens[1], factors=tuple(tokens[3:]),
-                                             line=n))
-            else:
-                raise ParseError("expected: system <name> dim <d> | factors <s...>", n)
-        elif head == "state":
-            statements.append(_parse_state(tokens, n))
-        elif head == "operator":
-            statements.append(_parse_operator(tokens, n))
-        elif head == "pd":
-            statements.append(_parse_pd(tokens, n))
-        elif head == "grid":
-            if len(tokens) < 4 or tokens[2] != "times":
-                raise ParseError("expected: grid <name> times <t...>", n)
-            statements.append(GridDecl(
-                tokens[1], tuple(parse_float(t, n) for t in tokens[3:]), line=n))
-        elif head == "dynamics":
-            if len(tokens) < 7 or tokens[2] != "system" or tokens[4] != "grid":
-                raise ParseError(
-                    "expected: dynamics <name> system <sys> grid <g> <kind> ...", n)
-            kind = tokens[6]
-            if kind == "trivial":
-                statements.append(DynamicsDecl(tokens[1], tokens[3], tokens[5],
-                                               "trivial", line=n))
-            elif kind == "unitaries":
-                if len(tokens) < 8:
-                    raise ParseError("dynamics unitaries needs operator names", n)
-                statements.append(DynamicsDecl(tokens[1], tokens[3], tokens[5],
-                                               "unitaries", ops=tuple(tokens[7:]),
-                                               line=n))
-            elif kind == "hamiltonian":
-                if len(tokens) != 8:
-                    raise ParseError("dynamics hamiltonian needs one operator", n)
-                statements.append(DynamicsDecl(tokens[1], tokens[3], tokens[5],
-                                               "hamiltonian", ops=(tokens[7],),
-                                               line=n))
-            else:
-                raise ParseError(f"unknown dynamics kind {kind!r}", n)
-        elif head == "history":
-            if len(tokens) < 4 or tokens[2] != "factors":
-                raise ParseError("expected: history <name> factors <op...>", n)
-            statements.append(HistoryDecl(tokens[1], tuple(tokens[3:]), line=n))
-        elif head == "family":
-            statements.append(_parse_family(tokens, n))
-        elif head == "locality":
-            statements.append(_parse_locality(tokens, n))
-        elif head == "query":
+        elif tokens[0] == "query":
             statements.append(_parse_query(tokens, n))
         else:
-            raise ParseError(f"unknown statement {head!r}", n)
+            statements.append(_select(tokens, n).match(tokens, n))
     if name is None:
         raise ParseError("empty scenario: no 'scenario <name>' line found")
     return Scenario(name, tuple(statements))
@@ -607,7 +421,8 @@ def parse(text: str) -> Scenario:
 
 def serialize(scenario: Scenario) -> str:
     lines = [f"scenario {scenario.name}"]
-    lines.extend(stmt.to_line() for stmt in scenario.statements)
+    lines.extend(stmt.to_line() if isinstance(stmt, QueryDecl)
+                 else _row_for(stmt).format(stmt) for stmt in scenario.statements)
     return "\n".join(lines) + "\n"
 
 
@@ -633,7 +448,7 @@ class Environment:
         self.families: dict[str, hist_mod.HistoryFamily] = {}
         self.locality_heads: dict[str, LocalityHeadDecl] = {}
         self.locality_steps: dict[str, list[LocalityStepDecl]] = {}
-        self.locality_states: dict[str, list[str]] = {}
+        self.locality_states: dict[str, list[LocalityStateDecl]] = {}
         self.localities: dict[str, tuple[LocalityExperiment, list[Ket]]] = {}
         self.queries: list[BoundQuery] = []
 
@@ -645,155 +460,248 @@ class Environment:
             raise ValidationError(f"unknown {what} {name!r}", line)
         return table[name]
 
-
-def _fresh_name(env: Environment, name: str, line: int) -> None:
-    for table in (env.systems, env.states, env.operators, env.pds, env.grids,
-                  env.dynamics, env.histories, env.families, env.locality_heads):
-        if name in table:
-            raise ValidationError(f"name {name!r} is already declared", line)
+    def lookup_all(self, table: dict, names, what: str, line: int) -> list:
+        return [self.lookup(table, name, what, line) for name in names]
 
 
-def _resolve_state(env: Environment, d: StateDecl) -> Ket:
-    dims = env.lookup(env.systems, d.system, "system", d.line)
-    total = int(np.prod(dims))
-    if d.kind == "amps":
-        if len(d.amps) != total:
-            raise ValidationError(
-                f"state {d.name!r}: {len(d.amps)} amplitudes for dim {total}", d.line)
-        return Ket(d.amps, dims)
-    if d.kind == "basis":
-        if not 0 <= d.index < total:
-            raise ValidationError(
-                f"state {d.name!r}: basis index {d.index} out of range for dim "
-                f"{total}", d.line)
-        return op_mod.basis_ket(d.index, dims)
-    if d.kind == "singlet":
-        if dims != (2, 2):
-            raise ValidationError(
-                f"state {d.name!r}: singlet needs a 2x2 composite system", d.line)
-        return op_mod.singlet()
-    parts = [env.lookup(env.states, p, "state", d.line) for p in d.parts]
-    ket = op_mod.tensor(*parts)
-    if ket.dim != total:
+def _invalid(d, message: str) -> ValidationError:
+    return ValidationError(f"{_row_for(d).head} {d.name!r}: {message}", d.line)
+
+
+def _grid(env: Environment, d) -> hist_mod.TimeGrid:
+    return env.lookup(env.grids, d.grid, "grid", d.line)
+
+
+def _fit(d, obj, dims: tuple[int, ...]):
+    """`obj`, the tensor product of `d`'s parts, once its dim is the system's."""
+    if obj.dim != math.prod(dims):
+        raise _invalid(d, f"tensor parts have dim {obj.dim}, system has {math.prod(dims)}")
+    return obj
+
+
+def _spin_axis(d, dims: tuple[int, ...]) -> str:
+    if math.prod(dims) != 2:
+        raise _invalid(d, "spin needs a dim-2 system")
+    if d.axis not in op_mod.AXES:
+        raise _invalid(d, f"bad axis {d.axis!r}")
+    return d.axis
+
+
+def _grid_points(d, dims: tuple[int, ...]) -> tuple[float, ...]:
+    if len(d.grid_points) != math.prod(dims):
+        raise _invalid(d, f"{len(d.grid_points)} grid points for dim {math.prod(dims)}")
+    return d.grid_points
+
+
+def _system_dim(env, d, dims):
+    if d.dim < 1:
+        raise _invalid(d, "dim must be >= 1")
+    return (d.dim,)
+
+
+def _state_amps(env, d, dims):
+    if len(d.amps) != math.prod(dims):
+        raise _invalid(d, f"{len(d.amps)} amplitudes for dim {math.prod(dims)}")
+    return Ket(d.amps, dims)
+
+
+def _state_basis(env, d, dims):
+    if not 0 <= d.index < math.prod(dims):
+        raise _invalid(d, f"basis index {d.index} out of range for dim {math.prod(dims)}")
+    return op_mod.basis_ket(d.index, dims)
+
+
+def _state_singlet(env, d, dims):
+    if dims != (2, 2):
+        raise _invalid(d, "singlet needs a 2x2 composite system")
+    return op_mod.singlet()
+
+
+def _state_tensor(env, d, dims):
+    parts = env.lookup_all(env.states, d.parts, "state", d.line)
+    return Ket(_fit(d, op_mod.tensor(*parts), dims).amplitudes, dims)
+
+
+def _operator_matrix(env, d, dims):
+    total = math.prod(dims)
+    if len(d.rows) != total or any(len(row) != total for row in d.rows):
+        raise _invalid(d, f"matrix must be {total}x{total}")
+    return Operator(d.rows, dims)
+
+
+def _operator_dyad(env, d, dims):
+    ket = env.lookup(env.states, d.state, "state", d.line)
+    if ket.dim != math.prod(dims):
+        raise _invalid(d, f"state dim {ket.dim} != system dim {math.prod(dims)}")
+    return op_mod.dyad(ket)
+
+
+def _operator_tensor(env, d, dims):
+    parts = env.lookup_all(env.operators, d.parts, "operator", d.line)
+    out = _fit(d, op_mod.tensor(*parts), dims)
+    return Operator(out.matrix, dims, flavor=out.flavor)
+
+
+def _pd_projectors(env, d, dims):
+    ops = env.lookup_all(env.operators, d.members, "operator", d.line)
+    for op in ops:
+        if op.dim != math.prod(dims):
+            raise _invalid(d, f"member dim {op.dim} != system dim {math.prod(dims)}")
+    return fw.make_pd([Operator(o.matrix, dims, flavor=o.flavor) for o in ops],
+                      d.members, env.tol("tol_alg"))
+
+
+def _pd_dyads(env, d, dims):
+    kets = env.lookup_all(env.states, d.members, "state", d.line)
+    return fw.make_pd([op_mod.dyad(Ket(k.amplitudes, dims)) for k in kets],
+                      d.members, env.tol("tol_alg"))
+
+
+def _pd_tensor(env, d, dims):
+    parts = env.lookup_all(env.pds, d.members, "pd", d.line)
+    out = _fit(d, fw.tensor_pd(*parts), dims)
+    projs = [Operator(p.matrix, dims, flavor="projector") for p in out.projectors]
+    return fw.make_pd(projs, out.labels, env.tol("tol_alg"))
+
+
+def _pd_lift(env, d, dims):
+    inner = env.lookup(env.pds, d.inner, "pd", d.line)
+    if not 0 <= d.slot < len(dims):
+        raise _invalid(d, f"slot {d.slot} out of range for {dims}")
+    return fw.lift_pd(inner, dims, d.slot)
+
+
+def _dynamics_unitaries(env, d, dims):
+    grid = _grid(env, d)
+    ops = env.lookup_all(env.operators, d.ops, "operator", d.line)
+    return dyn_mod.Dynamics(grid, [Operator(o.matrix, dims, flavor="unitary")
+                                   for o in ops])
+
+
+def _dynamics_hamiltonian(env, d, dims):
+    grid = _grid(env, d)
+    ham = env.lookup(env.operators, d.ops[0], "operator", d.line)
+    return dyn_mod.Dynamics.from_hamiltonian(grid, Operator(ham.matrix, dims))
+
+
+def _family_fixed(env, d, dims):
+    grid = _grid(env, d)
+    if d.initial in env.operators:
+        initial = env.operators[d.initial]
+    elif d.initial in env.states:
+        initial = op_mod.dyad(env.states[d.initial])
+    else:
+        raise _invalid(d, f"unknown initial ref {d.initial!r}")
+    if initial.dims != dims:
+        initial = Operator(initial.matrix, dims, flavor=initial.flavor)
+    pds = env.lookup_all(env.pds, d.pds, "pd", d.line)
+    return hist_mod.fixed_initial_family(grid, initial, pds, label=d.initial)
+
+
+def _family_unitary(env, d, dims):
+    _grid(env, d)  # declared, like every family's, though the dynamics has its own
+    psi = env.lookup(env.states, d.state, "state", d.line)
+    dynamics = env.lookup(env.dynamics, d.dynamics, "dynamics", d.line)
+    return hist_mod.unitary_family(psi, dynamics)
+
+
+def _locality_part(table: str) -> Callable:
+    """Builder of a line that adds to the locality experiment of its name."""
+    def build(env, d, dims):
+        if d.name not in env.locality_heads:
+            raise ValidationError(f"locality {d.name!r} has no header line", d.line)
+        getattr(env, table).setdefault(d.name, []).append(d)
+    return build
+
+
+_STATE = "state <name> system <system>"
+_OPERATOR = "operator <name> system <system>"
+_PD = "pd <name> system <system>"
+_DYNAMICS = "dynamics <name> system <system> grid <grid>"
+_FAMILY = "family <name> system <system> grid <grid>"
+_INTERVAL = "{interval} grid [<grid_points:float...>] window <lo:float> <hi:float>"
+
+GRAMMAR = (
+    Row("tolerance <name> <value:float>", ToleranceDecl),
+    Row("system <name> {dim} <dim:int>", SystemDecl, "systems", _system_dim),
+    Row("system <name> {factors} <factors...>", SystemDecl, "systems",
+        lambda env, d, dims: sum(
+            env.lookup_all(env.systems, d.factors, "system", d.line), ())),
+    Row(f"{_STATE} {{amps}} <amps:complex...>", StateDecl, "states", _state_amps),
+    Row(f"{_STATE} {{basis}} <index:int>", StateDecl, "states", _state_basis),
+    Row(f"{_STATE} {{singlet}}", StateDecl, "states", _state_singlet),
+    Row(f"{_STATE} {{tensor}} <parts> <parts...>", StateDecl, "states", _state_tensor),
+    Row(f"{_OPERATOR} {{matrix}} <rows:matrix...>", OperatorDecl, "operators",
+        _operator_matrix),
+    Row(f"{_OPERATOR} {{dyad}} <state>", OperatorDecl, "operators", _operator_dyad),
+    Row(f"{_OPERATOR} {{identity}}", OperatorDecl, "operators",
+        lambda env, d, dims: Operator.identity(dims)),
+    Row(f"{_OPERATOR} {{tensor}} <parts> <parts...>", OperatorDecl, "operators",
+        _operator_tensor),
+    Row(f"{_OPERATOR} {{spin}} <axis> <sign:sign>", OperatorDecl, "operators",
+        lambda env, d, dims: op_mod.dyad(op_mod.spin_ket(_spin_axis(d, dims), d.sign))),
+    Row(f"{_OPERATOR} {_INTERVAL}", OperatorDecl, "operators",
+        lambda env, d, dims: op_mod.interval_projector(
+            _grid_points(d, dims), d.lo, d.hi)),
+    Row(f"{_PD} {{spin}} <axis>", PdDecl, "pds",
+        lambda env, d, dims: fw.spin_pd(_spin_axis(d, dims))),
+    Row(f"{_PD} {{basis}}", PdDecl, "pds", lambda env, d, dims: fw.basis_pd(dims)),
+    Row(f"{_PD} {{trivial}}", PdDecl, "pds", lambda env, d, dims: fw.trivial_pd(dims)),
+    Row(f"{_PD} {{projectors}} <members...>", PdDecl, "pds", _pd_projectors),
+    Row(f"{_PD} {{dyads}} <members...>", PdDecl, "pds", _pd_dyads),
+    Row(f"{_PD} {{tensor}} <members...>", PdDecl, "pds", _pd_tensor),
+    Row(f"{_PD} {{lift}} <inner> slot <slot:int>", PdDecl, "pds", _pd_lift),
+    Row(f"{_PD} {_INTERVAL}", PdDecl, "pds",
+        lambda env, d, dims: fw.interval_pd(
+            _grid_points(d, dims), d.lo, d.hi, env.tol("tol_alg"))),
+    Row("grid <name> times <times:float...>", GridDecl, "grids",
+        lambda env, d, dims: hist_mod.TimeGrid(d.times)),
+    Row(f"{_DYNAMICS} {{trivial}}", DynamicsDecl, "dynamics",
+        lambda env, d, dims: dyn_mod.Dynamics.trivial(_grid(env, d), dims)),
+    Row(f"{_DYNAMICS} {{unitaries}} <ops...>", DynamicsDecl, "dynamics",
+        _dynamics_unitaries),
+    Row(f"{_DYNAMICS} {{hamiltonian}} <ops>", DynamicsDecl, "dynamics",
+        _dynamics_hamiltonian),
+    Row("history <name> factors <factors...>", HistoryDecl, "histories",
+        lambda env, d, dims: hist_mod.History(
+            env.lookup_all(env.operators, d.factors, "operator", d.line),
+            d.factors, tol=env.tol("tol_alg"))),
+    Row(f"{_FAMILY} {{product}} <pds...>", FamilyDecl, "families",
+        lambda env, d, dims: hist_mod.product_family(
+            _grid(env, d), env.lookup_all(env.pds, d.pds, "pd", d.line))),
+    Row(f"{_FAMILY} {{fixed}} <initial> <pds...>", FamilyDecl, "families", _family_fixed),
+    Row(f"{_FAMILY} {{unitary}} <state> <dynamics>", FamilyDecl, "families",
+        _family_unitary),
+    Row(f"{_FAMILY} {{raw}} <histories...>", FamilyDecl, "families",
+        lambda env, d, dims: hist_mod.raw_family(
+            _grid(env, d), env.lookup_all(env.histories, d.histories, "history", d.line),
+            tol=env.tol("tol_alg"))),
+    Row("locality <name> {systems} <sys_a> <sys_b> <sys_c> grid <grid> "
+        "initial <initial> pds [<pds...>]", LocalityHeadDecl, "locality_heads",
+        lambda env, d, dims: d),
+    Row("locality <name> {step} <op_a> <op_bc>", LocalityStepDecl, None,
+        _locality_part("locality_steps")),
+    Row("locality <name> {cstate} <state>", LocalityStateDecl, None,
+        _locality_part("locality_states")),
+)
+
+# statement -> {kind: row}, and Decl class -> {kind: row}
+_BY_HEAD: dict[str, dict[str | None, Row]] = {}
+_BY_DECL: dict[type, dict[str | None, Row]] = {}
+for _row in GRAMMAR:
+    _BY_HEAD.setdefault(_row.head, {})[_row.kind] = _row
+    _BY_DECL.setdefault(_row.decl, {})[_row.kind] = _row
+
+
+def _tolerance(name: str, value: float, line: int | None = None) -> float:
+    """The value of a tolerance line or override, once it is known to be usable."""
+    if name not in TOLERANCE_NAMES:
+        raise ValidationError(f"unknown tolerance {name!r}", line)
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
         raise ValidationError(
-            f"state {d.name!r}: tensor parts have dim {ket.dim}, system has "
-            f"{total}", d.line)
-    return Ket(ket.amplitudes, dims)
-
-
-def _resolve_operator(env: Environment, d: OperatorDecl) -> Operator:
-    dims = env.lookup(env.systems, d.system, "system", d.line)
-    total = int(np.prod(dims))
-    if d.kind == "matrix":
-        if any(len(row) != len(d.rows) for row in d.rows) or len(d.rows) != total:
-            raise ValidationError(
-                f"operator {d.name!r}: matrix must be {total}x{total}", d.line)
-        return Operator(d.rows, dims)
-    if d.kind == "dyad":
-        ket = env.lookup(env.states, d.state, "state", d.line)
-        if ket.dim != total:
-            raise ValidationError(
-                f"operator {d.name!r}: state dim {ket.dim} != system dim {total}",
-                d.line)
-        return op_mod.dyad(ket)
-    if d.kind == "identity":
-        return Operator.identity(dims)
-    if d.kind == "tensor":
-        parts = [env.lookup(env.operators, p, "operator", d.line) for p in d.parts]
-        out = op_mod.tensor(*parts)
-        if out.dim != total:
-            raise ValidationError(
-                f"operator {d.name!r}: tensor parts have dim {out.dim}, system "
-                f"has {total}", d.line)
-        return Operator(out.matrix, dims, flavor=out.flavor)
-    if d.kind == "spin":
-        if total != 2:
-            raise ValidationError(
-                f"operator {d.name!r}: spin operators need a dim-2 system", d.line)
-        if d.axis not in op_mod.AXES:
-            raise ValidationError(f"operator {d.name!r}: bad axis {d.axis!r}", d.line)
-        return op_mod.dyad(op_mod.spin_ket(d.axis, d.sign))
-    if len(d.grid_points) != total:
-        raise ValidationError(
-            f"operator {d.name!r}: {len(d.grid_points)} grid points for dim "
-            f"{total}", d.line)
-    return op_mod.interval_projector(d.grid_points, d.lo, d.hi)
-
-
-def _resolve_pd(env: Environment, d: PdDecl) -> fw.ProjectiveDecomposition:
-    dims = env.lookup(env.systems, d.system, "system", d.line)
-    total = int(np.prod(dims))
-    tol = env.tol("tol_alg")
-    if d.kind == "spin":
-        if total != 2:
-            raise ValidationError(f"pd {d.name!r}: spin needs a dim-2 system", d.line)
-        if d.axis not in op_mod.AXES:
-            raise ValidationError(f"pd {d.name!r}: bad axis {d.axis!r}", d.line)
-        return fw.spin_pd(d.axis)
-    if d.kind == "basis":
-        return fw.basis_pd(dims)
-    if d.kind == "trivial":
-        return fw.trivial_pd(dims)
-    if d.kind == "projectors":
-        ops = [env.lookup(env.operators, m, "operator", d.line) for m in d.members]
-        for op in ops:
-            if op.dim != total:
-                raise ValidationError(
-                    f"pd {d.name!r}: member dim {op.dim} != system dim {total}",
-                    d.line)
-        ops = [Operator(o.matrix, dims, flavor=o.flavor) for o in ops]
-        return fw.make_pd(ops, d.members, tol)
-    if d.kind == "dyads":
-        kets = [env.lookup(env.states, m, "state", d.line) for m in d.members]
-        return fw.make_pd([op_mod.dyad(Ket(k.amplitudes, dims)) for k in kets],
-                          d.members, tol)
-    if d.kind == "tensor":
-        parts = [env.lookup(env.pds, m, "pd", d.line) for m in d.members]
-        out = fw.tensor_pd(*parts)
-        if out.dim != total:
-            raise ValidationError(
-                f"pd {d.name!r}: tensor parts have dim {out.dim}, system has "
-                f"{total}", d.line)
-        projs = [Operator(p.matrix, dims, flavor="projector") for p in out.projectors]
-        return fw.make_pd(projs, out.labels, tol)
-    if d.kind == "lift":
-        inner = env.lookup(env.pds, d.inner, "pd", d.line)
-        if not 0 <= d.slot < len(dims):
-            raise ValidationError(
-                f"pd {d.name!r}: slot {d.slot} out of range for {dims}", d.line)
-        return fw.lift_pd(inner, dims, d.slot)
-    if len(d.grid_points) != total:
-        raise ValidationError(
-            f"pd {d.name!r}: {len(d.grid_points)} grid points for dim {total}",
-            d.line)
-    return fw.interval_pd(d.grid_points, d.lo, d.hi, tol)
-
-
-def _resolve_family(env: Environment, d: FamilyDecl) -> hist_mod.HistoryFamily:
-    dims = env.lookup(env.systems, d.system, "system", d.line)
-    grid = env.lookup(env.grids, d.grid, "grid", d.line)
-    if d.kind == "product":
-        pds = [env.lookup(env.pds, p, "pd", d.line) for p in d.pds]
-        return hist_mod.product_family(grid, pds)
-    if d.kind == "fixed":
-        if d.initial in env.operators:
-            initial = env.operators[d.initial]
-        elif d.initial in env.states:
-            initial = op_mod.dyad(env.states[d.initial])
-        else:
-            raise ValidationError(
-                f"family {d.name!r}: unknown initial ref {d.initial!r}", d.line)
-        if initial.dims != dims:
-            initial = Operator(initial.matrix, dims, flavor=initial.flavor)
-        pds = [env.lookup(env.pds, p, "pd", d.line) for p in d.pds]
-        return hist_mod.fixed_initial_family(grid, initial, pds, label=d.initial)
-    if d.kind == "unitary":
-        psi = env.lookup(env.states, d.state, "state", d.line)
-        dynamics = env.lookup(env.dynamics, d.dynamics, "dynamics", d.line)
-        return hist_mod.unitary_family(psi, dynamics)
-    histories = [env.lookup(env.histories, h, "history", d.line)
-                 for h in d.histories]
-    return hist_mod.raw_family(grid, histories, tol=env.tol("tol_alg"))
+            f"tolerance {name!r} must be finite and > 0, got {value!r}", line)
+    return value
 
 
 def _parse_event(env: Environment, family: hist_mod.HistoryFamily, spec: str,
@@ -839,8 +747,7 @@ def _bind_query(env: Environment, q: QueryDecl) -> BoundQuery:
             raise ValidationError("family and dynamics use different grids", q.line)
         if family.dims != dynamics.dims:
             raise ValidationError("family and dynamics dims differ", q.line)
-        payload["family"] = family
-        payload["dynamics"] = dynamics
+        payload.update(family=family, dynamics=dynamics)
         if q.kind in ("probability", "conditional"):
             payload["where"] = _parse_event(env, family, _require(q, "where"), q.line)
         if q.kind == "conditional":
@@ -851,31 +758,22 @@ def _bind_query(env: Environment, q: QueryDecl) -> BoundQuery:
                 raise ValidationError("sample count must be positive", q.line)
             payload["seed"] = parse_int(_require(q, "seed"), q.line)
     elif q.kind == "compatibility":
-        if q.arg("pds") is not None:
-            names = q.arg("pds").split()
-            if len(names) != 2:
-                raise ValidationError("compatibility pds needs two names", q.line)
-            payload["pds"] = tuple(env.lookup(env.pds, m, "pd", q.line)
-                                   for m in names)
-        elif q.arg("families") is not None:
-            names = q.arg("families").split()
-            if len(names) != 2:
-                raise ValidationError("compatibility families needs two names",
-                                      q.line)
-            payload["families"] = tuple(
-                env.lookup(env.families, m, "family", q.line) for m in names)
-            dyn_name = q.arg("dynamics")
-            if dyn_name is not None:
-                payload["dynamics"] = env.lookup(env.dynamics, dyn_name,
-                                                 "dynamics", q.line)
-        else:
+        key = next((k for k in ("pds", "families") if q.arg(k) is not None), None)
+        if key is None:
             raise ValidationError("compatibility needs 'pds' or 'families'", q.line)
+        names = q.arg(key).split()
+        if len(names) != 2:
+            raise ValidationError(f"compatibility {key} needs two names", q.line)
+        table, what = (env.pds, "pd") if key == "pds" else (env.families, "family")
+        payload[key] = tuple(env.lookup_all(table, names, what, q.line))
+        if key == "families" and q.arg("dynamics") is not None:
+            payload["dynamics"] = env.lookup(env.dynamics, q.arg("dynamics"),
+                                             "dynamics", q.line)
     elif q.kind == "refinement":
         payload["fine"] = env.lookup(env.pds, _require(q, "fine"), "pd", q.line)
         payload["coarse"] = env.lookup(env.pds, _require(q, "coarse"), "pd", q.line)
         if payload["fine"].dim != payload["coarse"].dim:
-            raise ValidationError("refinement decompositions have different dims",
-                                  q.line)
+            raise ValidationError("refinement decompositions have different dims", q.line)
     elif q.kind == "povm":
         pd = env.lookup(env.pds, _require(q, "pd"), "pd", q.line)
         state = env.lookup(env.states, _require(q, "state"), "state", q.line)
@@ -888,9 +786,7 @@ def _bind_query(env: Environment, q: QueryDecl) -> BoundQuery:
             raise ValidationError(
                 f"ancilla state dim {state.dim} != factor dim {pd.dims[slot]}",
                 q.line)
-        payload["pd"] = pd
-        payload["state"] = state
-        payload["ancilla"] = slot
+        payload.update(pd=pd, state=state, ancilla=slot)
     elif q.kind == "locality":
         name = _require(q, "locality")
         if name not in env.localities:
@@ -900,33 +796,26 @@ def _bind_query(env: Environment, q: QueryDecl) -> BoundQuery:
     return BoundQuery(q, q.kind, payload)
 
 
-def _finish_locality(env: Environment, name: str, line: int) -> None:
-    head = env.locality_heads[name]
-    dims_a = env.lookup(env.systems, head.sys_a, "system", line)
-    dims_b = env.lookup(env.systems, head.sys_b, "system", line)
-    dims_c = env.lookup(env.systems, head.sys_c, "system", line)
-    d_a, d_b, d_c = (int(np.prod(d)) for d in (dims_a, dims_b, dims_c))
+def _finish_locality(env: Environment, head: LocalityHeadDecl) -> None:
+    name, line = head.name, head.line
+    d_a, d_b, d_c = (math.prod(d) for d in env.lookup_all(
+        env.systems, (head.sys_a, head.sys_b, head.sys_c), "system", line))
     grid = env.lookup(env.grids, head.grid, "grid", line)
     initial = env.lookup(env.states, head.initial, "state", line)
     if initial.dim != d_a * d_b:
-        raise ValidationError(
-            f"locality {name!r}: initial AB state dim {initial.dim} != "
-            f"{d_a * d_b}", line)
+        raise _invalid(head, f"initial AB state dim {initial.dim} != {d_a * d_b}")
     initial = Ket(initial.amplitudes, (d_a, d_b))
-    pds = [env.lookup(env.pds, p, "pd", line) for p in head.pds]
-    steps = []
-    for s in env.locality_steps.get(name, []):
-        op_a = env.lookup(env.operators, s.op_a, "operator", s.line)
-        op_bc = env.lookup(env.operators, s.op_bc, "operator", s.line)
-        steps.append((op_a, op_bc))
-    c_states = [env.lookup(env.states, c, "state", line)
+    pds = env.lookup_all(env.pds, head.pds, "pd", line)
+    steps = [tuple(env.lookup_all(env.operators, (s.op_a, s.op_bc), "operator", s.line))
+             for s in env.locality_steps.get(name, [])]
+    c_states = [env.lookup(env.states, c.state, "state", line)
                 for c in env.locality_states.get(name, [])]
     if not c_states:
         raise ValidationError(f"locality {name!r} declares no cstate lines", line)
     try:
         exp = LocalityExperiment(initial, d_c, steps, pds, grid)
     except CohistError as err:
-        raise ValidationError(f"locality {name!r}: {err}", line) from err
+        raise _invalid(head, str(err)) from err
     env.localities[name] = (exp, c_states)
 
 
@@ -937,98 +826,30 @@ def resolve(scenario: Scenario,
     env = Environment()
     for stmt in scenario.statements:
         if isinstance(stmt, ToleranceDecl):
-            if stmt.name not in TOLERANCE_NAMES:
-                raise ValidationError(f"unknown tolerance {stmt.name!r}", stmt.line)
-            if stmt.value <= 0:
-                raise ValidationError("tolerances must be positive", stmt.line)
-            env.tolerances[stmt.name] = stmt.value
-    if tolerance_overrides:
-        for key, value in tolerance_overrides.items():
-            if key not in TOLERANCE_NAMES:
-                raise ValidationError(f"unknown tolerance {key!r}")
-            env.tolerances[key] = float(value)
+            env.tolerances[stmt.name] = _tolerance(stmt.name, stmt.value, stmt.line)
+    for key, value in (tolerance_overrides or {}).items():
+        env.tolerances[key] = _tolerance(key, value)
 
-    pending_queries: list[QueryDecl] = []
+    declared: set[str] = set()  # every name in the Environment tables of the rows
     for stmt in scenario.statements:
+        row = None if isinstance(stmt, QueryDecl) else _row_for(stmt)
+        if row is None or row.build is None:  # queries bind last, tolerances came first
+            continue
         try:
-            if isinstance(stmt, ToleranceDecl):
-                continue
-            elif isinstance(stmt, SystemDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                if stmt.factors:
-                    dims: tuple[int, ...] = ()
-                    for f in stmt.factors:
-                        dims = dims + env.lookup(env.systems, f, "system", stmt.line)
-                    env.systems[stmt.name] = dims
-                else:
-                    if stmt.dim < 1:
-                        raise ValidationError(
-                            f"system {stmt.name!r}: dim must be >= 1", stmt.line)
-                    env.systems[stmt.name] = (stmt.dim,)
-            elif isinstance(stmt, StateDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                env.states[stmt.name] = _resolve_state(env, stmt)
-            elif isinstance(stmt, OperatorDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                env.operators[stmt.name] = _resolve_operator(env, stmt)
-            elif isinstance(stmt, PdDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                env.pds[stmt.name] = _resolve_pd(env, stmt)
-            elif isinstance(stmt, GridDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                env.grids[stmt.name] = hist_mod.TimeGrid(stmt.times)
-            elif isinstance(stmt, DynamicsDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                dims = env.lookup(env.systems, stmt.system, "system", stmt.line)
-                grid = env.lookup(env.grids, stmt.grid, "grid", stmt.line)
-                if stmt.kind == "trivial":
-                    env.dynamics[stmt.name] = dyn_mod.Dynamics.trivial(grid, dims)
-                elif stmt.kind == "unitaries":
-                    ops = [env.lookup(env.operators, o, "operator", stmt.line)
-                           for o in stmt.ops]
-                    ops = [Operator(o.matrix, dims, flavor="unitary") for o in ops]
-                    env.dynamics[stmt.name] = dyn_mod.Dynamics(grid, ops)
-                else:
-                    ham = env.lookup(env.operators, stmt.ops[0], "operator",
-                                     stmt.line)
-                    ham = Operator(ham.matrix, dims)
-                    env.dynamics[stmt.name] = dyn_mod.Dynamics.from_hamiltonian(
-                        grid, ham)
-            elif isinstance(stmt, HistoryDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                factors = [env.lookup(env.operators, f, "operator", stmt.line)
-                           for f in stmt.factors]
-                env.histories[stmt.name] = hist_mod.History(
-                    factors, stmt.factors, tol=env.tol("tol_alg"))
-            elif isinstance(stmt, FamilyDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                env.families[stmt.name] = _resolve_family(env, stmt)
-            elif isinstance(stmt, LocalityHeadDecl):
-                _fresh_name(env, stmt.name, stmt.line)
-                env.locality_heads[stmt.name] = stmt
-                env.locality_steps.setdefault(stmt.name, [])
-                env.locality_states.setdefault(stmt.name, [])
-            elif isinstance(stmt, LocalityStepDecl):
-                if stmt.name not in env.locality_heads:
-                    raise ValidationError(
-                        f"locality {stmt.name!r} has no header line", stmt.line)
-                env.locality_steps[stmt.name].append(stmt)
-            elif isinstance(stmt, LocalityStateDecl):
-                if stmt.name not in env.locality_heads:
-                    raise ValidationError(
-                        f"locality {stmt.name!r} has no header line", stmt.line)
-                env.locality_states[stmt.name].append(stmt.state)
-            elif isinstance(stmt, QueryDecl):
-                pending_queries.append(stmt)
-            else:
-                raise ValidationError(f"unhandled statement {stmt!r}")
+            if row.table is not None and stmt.name in declared:
+                raise ValidationError(f"name {stmt.name!r} is already declared", stmt.line)
+            dims = (env.lookup(env.systems, stmt.system, "system", stmt.line)
+                    if row.on_system else None)
+            built = row.build(env, stmt, dims)
+            if row.table is not None:
+                getattr(env, row.table)[stmt.name] = built
+                declared.add(stmt.name)
         except ValidationError:
             raise
         except CohistError as err:
-            raise ValidationError(str(err), getattr(stmt, "line", None)) from err
+            raise ValidationError(str(err), stmt.line) from err
 
-    for name in env.locality_heads:
-        _finish_locality(env, name, env.locality_heads[name].line)
-    for q in pending_queries:
-        env.queries.append(_bind_query(env, q))
+    for head in env.locality_heads.values():
+        _finish_locality(env, head)
+    env.queries = [_bind_query(env, q) for q in scenario.queries]
     return env

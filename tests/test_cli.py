@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohist import decoherence_functional
-from cohist.cli import Record, _f, main, render_human, run_text
+from cohist.cli import RUNNERS, Record, _f, main, render_human, run_text
 from cohist.demos import DEMOS, demo_text, list_demos
-from cohist.scenario import parse, resolve
+from cohist.scenario import QUERY_KINDS, parse, resolve
 from helpers import per_element_rows
 
 MINIMAL = """\
@@ -121,6 +121,31 @@ class TestRunText:
         assert status == 2
         assert report == f"error: unknown tolerance {name!r}\n"
 
+    @pytest.mark.parametrize("name", ["tol_alg", "tol_consistency", "floor"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "0.0", "-5"])
+    def test_unusable_tolerance_values_rejected(self, name, value):
+        line = MINIMAL.replace("system spin dim 2\n",
+                               f"system spin dim 2\ntolerance {name} {value}\n")
+        report, status = run_text(line, machine=True)
+        assert status == 2
+        assert report.startswith(f"error: line 3: tolerance {name!r} must be finite")
+        report, status = run_text(MINIMAL, machine=True,
+                                  tolerance_overrides={name: float(value)})
+        assert status == 2
+        assert report.startswith(f"error: tolerance {name!r} must be finite")
+
+    def test_nan_tolerance_does_not_reach_the_verdict(self):
+        # a NaN consistency tolerance used to pass validation and refuse a
+        # consistent family; a negative one through an override accepted it
+        text = demo_text("stern-gerlach")
+        for overrides in ({}, {"tol_consistency": -5.0}, {"floor": 0.0}):
+            bad = text if overrides else text.replace(
+                "scenario stern-gerlach\n",
+                "scenario stern-gerlach\ntolerance tol_consistency nan\n")
+            report, status = run_text(bad, machine=True, tolerance_overrides=overrides)
+            assert status == 2
+            assert "verdict" not in report
+
     def test_tolerance_override_flows_through(self):
         # a loose consistency tolerance flips the inconsistent-triple verdict
         report, status = run_text(demo_text("inconsistent-triple"), machine=True,
@@ -225,6 +250,26 @@ class TestMainEntry:
         for verb in ("check", "run"):
             assert main(["--tolerance", f"{name}=0.5", verb, str(path)]) == 2
             assert capsys.readouterr().err == f"error: unknown tolerance {name!r}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+    def test_unusable_tolerance_values_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "tiny.chs"
+        path.write_text(MINIMAL)
+        bad = tmp_path / "bad.chs"
+        bad.write_text(MINIMAL.replace(
+            "system spin dim 2\n", f"system spin dim 2\ntolerance floor {value}\n"))
+        for verb in ("check", "run"):
+            assert main(["--tolerance", f"tol_consistency={value}", verb, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: tolerance 'tol_consistency' must be finite and > 0")
+            assert main([verb, str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: line 3: tolerance 'floor' must be finite and > 0")
+        assert main(["--machine", "--tolerance", f"tol_consistency={value}",
+                     "demo", "stern-gerlach"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verdict" not in captured.err
 
     @pytest.mark.parametrize("text, line, words", [
         (NAN_DYNAMICS, 4, "finite"),
@@ -357,3 +402,25 @@ class TestHumanNumbers:
         text = render_human("s", [rec], 0)
         assert f"  value {short}\n" in text
         assert f"  row {short}-{short}i\n" in text
+
+
+class TestRunnerTable:
+
+    def test_runner_kinds_are_the_query_kinds(self):
+        # scenario cannot import cli, so this keeps the two lists in step
+        assert tuple(RUNNERS) == QUERY_KINDS
+
+    def test_echoed_arguments_come_first_in_argument_order(self):
+        report, _ = run_text(MINIMAL.replace(
+            "query consistency family f dynamics free",
+            "query consistency dynamics free family f"), machine=True)
+        lines = report.splitlines()
+        first = lines.index("record 1 consistency")
+        assert lines[first + 1:first + 3] == ["dynamics free", "family f"]
+
+    def test_arguments_a_kind_does_not_use_are_not_echoed(self):
+        text = MINIMAL + "query refinement fine z coarse z family f\n"
+        report, status = run_text(text, machine=True)
+        assert status == 0
+        record = report.split("record 4 refinement\n", 1)[1].split("end\n", 1)[0]
+        assert record == "fine z\ncoarse z\nrefines true\n"
