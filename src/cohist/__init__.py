@@ -7,6 +7,7 @@ and packages measurement, preparation, POVM, and locality analyses.
 """
 
 from .errors import (
+    ArgumentError,
     CohistError,
     CompletenessError,
     DimError,

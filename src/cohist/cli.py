@@ -6,8 +6,10 @@ Verbs:
     demo <name>       run a built-in demo scenario
     demos             list the built-in demos
 
-Machine-mode reports (--machine) are line-oriented records with decimal
-numerics carrying 17 significant digits, so values round-trip exactly.
+Reports are line-oriented records, rendered from typed fields in one of two
+number formats: machine mode (--machine) gives every number 17 significant
+digits, so values round-trip exactly; human mode, the default, prints them
+`.6g` and each complex entry as `re+imi`.
 Exit codes: 0 success, 1 at least one query errored, 2 parse or validation
 failure.
 """
@@ -15,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 import numpy as np
@@ -32,62 +33,65 @@ from .errors import CohistError, ParseError, ValidationError
 from .framework import common_refinement, compatible, refines
 from .histories import family_compatible
 from .models import einstein_locality_check, povm_from_ancilla
-from .scenario import (
-    Environment,
-    Scenario,
-    parse,
-    resolve,
-)
+from .scenario import Environment, Scenario, parse, resolve
 
 
-def _f(x: float) -> str:
-    return f"{float(x):.16e}"
+# the two number formats: (real, complex entry)
+MACHINE = ("%.16e", "%.16e%+.16ei")
+HUMAN = ("%.6g", "%.6g%+.6gi")
 
 
-_ENTRY = "%.16e%+.16ei"
-_ZERO = _ENTRY % (0.0, 0.0)
-
-
-def _b(x: bool) -> str:
-    return "true" if x else "false"
-
-
-def _label(parts) -> str:
-    return ",".join(parts)
+def _text(value, real: str) -> str:
+    """One field value as report text; floats take the `real` format."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    if isinstance(value, tuple):  # a history label
+        return ",".join(value)
+    return real % value
 
 
 class Record:
-    """One query's worth of report lines."""
+    """One query's report fields, kept typed until a number format renders
+    them: strings, ints, bools, floats, label tuples and matrices."""
 
     def __init__(self, index: int, kind: str):
         self.index = index
         self.kind = kind
-        self.lines: list[str] = []
-        self.errored = False
+        self.fields: list[tuple[str, tuple | np.ndarray]] = []
 
-    def add(self, key: str, value: str) -> None:
-        self.lines.append(f"{key} {value}")
+    def add(self, key: str, *values) -> None:
+        self.fields.append((key, values))
 
     def add_matrix(self, key: str, matrix: np.ndarray) -> None:
-        """One `row` line per matrix row, each entry `re+imi` to 17 digits.
+        self.fields.append((key, np.ascontiguousarray(matrix, dtype=np.complex128)))
 
-        Each row is formatted by one %-format over the entries that are not
-        exactly +0+0i (bit pattern zero in both parts; -0.0 is formatted);
-        the exact zeros are literal text in that row's template.  Only one
-        row at a time becomes Python floats.
+    def lines(self, numbers: tuple[str, str]) -> list[str]:
+        """This record's report lines, each number in the format `numbers`.
+
+        A matrix is a `rows cols` line, then one `row` line per matrix row.
+        Each row is one %-format over the entries that are not exactly +0+0i
+        (bit pattern zero in both parts; -0.0 is formatted); the exact zeros
+        are literal text in that row's template.
         """
-        rows, cols = matrix.shape
-        self.add(key, f"{rows} {cols}")
-        z = np.ascontiguousarray(matrix, dtype=np.complex128)
-        keep = z.view(np.int64).reshape(rows, cols, 2).any(axis=2)
-        for row, row_keep in zip(z, keep):
-            template = "row " + " ".join([_ENTRY if k else _ZERO
-                                          for k in row_keep.tolist()])
-            self.lines.append(template % tuple(row[row_keep].view(np.float64).tolist()))
-
-    def error(self, err: Exception) -> None:
-        self.errored = True
-        self.add("error", f"{type(err).__name__} {err}")
+        real, entry = numbers
+        zero = entry % (0.0, 0.0)
+        out = []
+        for key, values in self.fields:
+            if not isinstance(values, np.ndarray):
+                out.append(f"{key} " + " ".join([_text(v, real) for v in values]))
+                continue
+            rows, cols = values.shape
+            out.append(f"{key} {rows} {cols}")
+            keep = values.view(np.int64).reshape(rows, cols, 2).any(axis=2)
+            for row, row_keep in zip(values, keep):
+                template = "row " + " ".join([entry if k else zero
+                                              for k in row_keep.tolist()])
+                out.append(template % tuple(row[row_keep].view(np.float64).tolist()))
+        return out
 
 
 def _event_spec(spec: dict[int, set[str]]) -> str:
@@ -98,18 +102,18 @@ def _run_consistency(rec: Record, payload: dict, env: Environment) -> None:
     report = decoherence_functional(
         payload["family"], payload["dynamics"],
         tol_consistency=env.tol("tol_consistency"), floor=env.tol("floor"))
-    rec.add("n_histories", str(report.n))
+    rec.add("n_histories", report.n)
     rec.add("verdict", report.verdict)
-    rec.add("max_offdiag_abs", _f(report.max_offdiag_abs))
-    rec.add("max_offdiag_rel", _f(report.max_offdiag_rel))
+    rec.add("max_offdiag_abs", report.max_offdiag_abs)
+    rec.add("max_offdiag_rel", report.max_offdiag_rel)
     for i, label in enumerate(report.labels):
-        suffix = " excluded" if i in report.excluded else ""
-        rec.add("weight", f"{_label(label)} {_f(report.weights[i])}{suffix}")
+        excluded = ("excluded",) if i in report.excluded else ()
+        rec.add("weight", label, report.weights[i], *excluded)
     if report.consistent:
         probs = report.probabilities()
         for i in report.included_indices():
-            rec.add("probability", f"{_label(report.labels[i])} {_f(probs[i])}")
-    rec.add_matrix("dmatrix", np.asarray(report.matrix))
+            rec.add("probability", report.labels[i], probs[i])
+    rec.add_matrix("dmatrix", report.matrix)
 
 
 def _run_probability(rec: Record, payload: dict, env: Environment) -> None:
@@ -121,7 +125,7 @@ def _run_probability(rec: Record, payload: dict, env: Environment) -> None:
     rec.add("where", _event_spec(payload["where"]))
     total = report.total_weight()
     value = event_weight(family, report, payload["where"]) / total
-    rec.add("value", _f(value))
+    rec.add("value", value)
 
 
 def _run_conditional(rec: Record, payload: dict, env: Environment) -> None:
@@ -130,7 +134,7 @@ def _run_conditional(rec: Record, payload: dict, env: Environment) -> None:
     value = conditional_probability(
         payload["family"], payload["dynamics"], payload["where"], payload["given"],
         tol_consistency=env.tol("tol_consistency"), floor=env.tol("floor"))
-    rec.add("value", _f(value))
+    rec.add("value", value)
 
 
 def _run_compatibility(rec: Record, payload: dict, env: Environment) -> None:
@@ -139,11 +143,11 @@ def _run_compatibility(rec: Record, payload: dict, env: Environment) -> None:
         f, g = payload["pds"]
         verdict = compatible(f, g, tol)
         rec.add("objects", "pds")
-        rec.add("compatible", _b(verdict))
+        rec.add("compatible", verdict)
         if verdict:
             refinement = common_refinement(f, g, tol)
-            rec.add("refinement_size", str(refinement.size))
-            rec.add("refinement_labels", " ".join(refinement.labels))
+            rec.add("refinement_size", refinement.size)
+            rec.add("refinement_labels", *refinement.labels)
     else:
         f1, f2 = payload["families"]
         if "dynamics" in payload:
@@ -152,26 +156,24 @@ def _run_compatibility(rec: Record, payload: dict, env: Environment) -> None:
             f1, f2, tol, tol_consistency=env.tol("tol_consistency"),
             floor=env.tol("floor"))
         rec.add("objects", "families")
-        rec.add("compatible", _b(verdict))
+        rec.add("compatible", verdict)
 
 
 def _run_refinement(rec: Record, payload: dict, env: Environment) -> None:
-    rec.add("refines", _b(refines(payload["fine"], payload["coarse"],
-                                  env.tol("tol_alg"))))
+    rec.add("refines", refines(payload["fine"], payload["coarse"], env.tol("tol_alg")))
 
 
 def _run_povm(rec: Record, payload: dict, env: Environment) -> None:
     povm = povm_from_ancilla(payload["pd"], payload["state"], payload["ancilla"],
                              tol=env.tol("tol_alg"))
-    rec.add("n_elements", str(len(povm)))
+    rec.add("n_elements", len(povm))
     total = np.zeros((povm.dim, povm.dim), dtype=complex)
     for label, element in povm.items():
         rec.add("element", label)
-        rec.add("min_eigenvalue", _f(element.min_eigenvalue()))
+        rec.add("min_eigenvalue", element.min_eigenvalue())
         rec.add_matrix("matrix", element.matrix)
         total = total + element.matrix
-    rec.add("completeness_residual",
-            _f(float(np.linalg.norm(total - np.eye(povm.dim)))))
+    rec.add("completeness_residual", np.linalg.norm(total - np.eye(povm.dim)))
 
 
 def _run_locality(rec: Record, payload: dict, env: Environment) -> None:
@@ -179,14 +181,14 @@ def _run_locality(rec: Record, payload: dict, env: Environment) -> None:
         payload["experiment"], payload["c_states"],
         tol_consistency=env.tol("tol_consistency"), floor=env.tol("floor"))
     rec.add("name", payload["name"])
-    rec.add("n_cstates", str(len(report.probabilities)))
-    rec.add("labels", " ".join(_label(l) for l in report.labels))
+    rec.add("n_cstates", len(report.probabilities))
+    rec.add("labels", *report.labels)
     for i, probs in enumerate(report.probabilities):
-        rec.add("verdict", f"{i} {report.verdicts[i]}")
-        rec.add("probabilities", f"{i} " + " ".join(_f(p) for p in probs))
-    rec.add("max_probability_deviation", _f(report.max_probability_deviation))
-    rec.add("max_residual_deviation", _f(report.max_residual_deviation))
-    rec.add("passed", _b(report.passed))
+        rec.add("verdict", i, report.verdicts[i])
+        rec.add("probabilities", i, *probs)
+    rec.add("max_probability_deviation", report.max_probability_deviation)
+    rec.add("max_residual_deviation", report.max_residual_deviation)
+    rec.add("passed", report.passed)
 
 
 def _run_sample(rec: Record, payload: dict, env: Environment) -> None:
@@ -195,10 +197,10 @@ def _run_sample(rec: Record, payload: dict, env: Environment) -> None:
     counts = sample_counts(family, dynamics, seed, count,
                            tol_consistency=env.tol("tol_consistency"),
                            floor=env.tol("floor"))
-    rec.add("count", str(count))
-    rec.add("seed", str(seed))
+    rec.add("count", count)
+    rec.add("seed", seed)
     for i, drawn in zip(family.included_indices(), counts.tolist()):
-        rec.add("draws", f"{_label(family.histories[i].label)} {drawn}")
+        rec.add("draws", family.histories[i].label, drawn)
 
 
 # query kind -> (runner, the query arguments echoed at the top of its record)
@@ -234,7 +236,7 @@ def execute(scenario: Scenario, env: Environment,
         try:
             runner(rec, payload, env)
         except CohistError as err:
-            rec.error(err)
+            rec.add("error", type(err).__name__, str(err))
             status = 1
         records.append(rec)
     return records, status
@@ -244,17 +246,10 @@ def render_machine(scenario_name: str, records: list[Record], status: int) -> st
     out = [f"scenario {scenario_name}"]
     for rec in records:
         out.append(f"record {rec.index} {rec.kind}")
-        out.extend(rec.lines)
+        out.extend(rec.lines(MACHINE))
         out.append("end")
     out.append(f"status {status}")
     return "\n".join(out) + "\n"
-
-
-_NUMBER = re.compile(r"[+-]?\d\.\d{16}e[+-]\d{2,3}")
-
-
-def _shorten(match: re.Match) -> str:
-    return f"{float(match.group(0)):.6g}"
 
 
 def render_human(scenario_name: str, records: list[Record], status: int) -> str:
@@ -264,8 +259,7 @@ def render_human(scenario_name: str, records: list[Record], status: int) -> str:
         out.append("")
         out.append(head)
         out.append("-" * len(head))
-        for line in rec.lines:
-            out.append("  " + _NUMBER.sub(_shorten, line))
+        out.extend(["  " + line for line in rec.lines(HUMAN)])
     out.append("")
     out.append(f"Status: {'ok' if status == 0 else 'query errors occurred'}")
     return "\n".join(out) + "\n"
@@ -359,11 +353,15 @@ def main(argv: list[str] | None = None) -> int:
     if status == 2:
         print(report, end="", file=sys.stderr)
         return 2
-    if args.out:
+    if not args.out:
+        print(report, end="")
+        return status
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)
-    else:
-        print(report, end="")
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -25,6 +25,11 @@ class NonFiniteError(CohistError, ValueError):
     """A ket or operator has a NaN or infinite entry."""
 
 
+class ArgumentError(CohistError, ValueError):
+    """Labels that must be distinct repeat, or values that must be ordered
+    are not."""
+
+
 class OrthogonalityError(CohistError):
     """Two projectors that must be mutually orthogonal are not."""
 

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     CompletenessError,
     DimError,
     IncompatibleFrameworksError,
@@ -47,9 +48,9 @@ class ProjectiveDecomposition:
             labels = tuple(str(i) for i in range(len(projectors)))
         labels = tuple(str(l) for l in labels)
         if len(labels) != len(projectors):
-            raise ValueError(f"{len(labels)} labels for {len(projectors)} projectors")
+            raise ArgumentError(f"{len(labels)} labels for {len(projectors)} projectors")
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate element labels in {labels}")
+            raise ArgumentError(f"duplicate element labels in {labels}")
         for i, p in enumerate(projectors):
             if p.dim != dim:
                 raise DimError(f"element {i} has dim {p.dim}, expected {dim}")

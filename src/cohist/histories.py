@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     CompletenessError,
     DimError,
     GridMismatchError,
@@ -171,7 +172,7 @@ class HistoryFamily:
                 raise DimError(f"history {h.display_label()!r} has dims {h.dims}")
         labels = [h.label for h in histories]
         if len(set(labels)) != len(labels):
-            raise ValueError("duplicate history labels in family")
+            raise ArgumentError("duplicate history labels in family")
         if dynamics is not None and dynamics.grid != grid:
             raise GridMismatchError("attached dynamics uses a different time grid")
         self.space = HistorySpace(grid, dims)

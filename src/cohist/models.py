@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimError, FactorizationError, NormalizationError
+from .errors import DimError, FactorizationError, FlavorError, NormalizationError
 from .framework import (
     ProjectiveDecomposition,
     lift_pd,
@@ -522,7 +522,7 @@ class LocalityExperiment:
                 raise DimError(f"step {m}: BC unitary dim {t_bc.dim}, expected "
                                f"{d_b * c_dim}")
             if not t_a.is_unitary(tol) or not t_bc.is_unitary(tol):
-                raise ValueError(f"step {m} factors are not unitary")
+                raise FlavorError(f"step {m} factors are not unitary")
         if totals is not None:
             totals = tuple(totals)
             if len(totals) != len(steps):

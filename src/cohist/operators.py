@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DimError,
     FlavorError,
     NonFiniteError,
@@ -365,8 +366,8 @@ def interval_projector(grid: Iterable[float], lo: float, hi: float) -> Operator:
     if not points:
         raise DimError("position grid must be nonempty")
     if any(b <= a for a, b in zip(points, points[1:])):
-        raise ValueError("position grid must be strictly increasing")
+        raise ArgumentError("position grid must be strictly increasing")
     if lo > hi:
-        raise ValueError(f"interval bounds out of order: {lo} > {hi}")
+        raise ArgumentError(f"interval bounds out of order: {lo} > {hi}")
     diag = np.array([1.0 if lo <= x <= hi else 0.0 for x in points])
     return Operator(np.diag(diag), (len(points),), flavor="projector")

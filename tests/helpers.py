@@ -1,6 +1,8 @@
 """Seeded random generators and dense reference checks shared across the
 test modules."""
 
+import re
+
 import numpy as np
 
 from cohist import Ket, Operator, make_pd
@@ -134,3 +136,22 @@ def per_element_rows(matrix):
         return f"{z.real:.16e}{z.imag:+.16e}i"
 
     return ["row " + " ".join(c(z) for z in row) for row in matrix]
+
+
+# Human-report oracle: the machine line with every number field re-read and
+# shortened to `.6g`, one whitespace-separated field at a time.
+_MACHINE_REAL = r"(?:\d\.\d{16}e[+-]\d{2,3}|nan|inf)"
+_REAL = re.compile(f"[+-]?{_MACHINE_REAL}")
+_ENTRY = re.compile(f"([+-]?{_MACHINE_REAL})([+-]{_MACHINE_REAL})i")
+
+
+def human_line(machine_line):
+    """The human-report line (without indent) for one machine-report line."""
+    def shorten(field, entry):
+        if entry and field:
+            re_part, im_part = _ENTRY.fullmatch(field).groups()
+            return f"{float(re_part):.6g}{float(im_part):+.6g}i"
+        return f"{float(field):.6g}" if _REAL.fullmatch(field) else field
+
+    key, *fields = machine_line.split(" ")
+    return " ".join([key] + [shorten(f, key == "row") for f in fields])

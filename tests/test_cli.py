@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohist import decoherence_functional
-from cohist.cli import RUNNERS, Record, _f, main, render_human, run_text
+from cohist.cli import (MACHINE, RUNNERS, Record, main, render_human,
+                        render_machine, run_text)
 from cohist.demos import DEMOS, demo_text, list_demos
 from cohist.scenario import QUERY_KINDS, parse, resolve
-from helpers import per_element_rows
+from helpers import human_line, per_element_rows
 
 MINIMAL = """\
 scenario tiny
@@ -51,6 +52,33 @@ dynamics dyn system s grid g hamiltonian h
 """
 
 
+# Builder arguments each rejected with a ValueError subclass, which resolve
+# reports as `error: line N: ...` with status 2.
+INTERVAL_OPERATOR = """\
+scenario interval
+system x dim 4
+operator w system x interval grid 0 1 2 3 window 0.5 1.5
+"""
+
+BAD_BUILDER_ARGUMENTS = [
+    pytest.param("scenario dup\nsystem q dim 2\nstate up system q basis 0\n"
+                 "operator pu system q dyad up\npd z system q projectors pu pu\n",
+                 5, "duplicate element labels", id="repeated-pd-member"),
+    pytest.param(INTERVAL_OPERATOR.replace("window 0.5 1.5", "window 1.5 0.5"),
+                 3, "interval bounds out of order", id="window-out-of-order"),
+    pytest.param(INTERVAL_OPERATOR.replace("grid 0 1 2 3", "grid 0 2 1 3"),
+                 3, "strictly increasing", id="grid-not-increasing"),
+    pytest.param(MINIMAL.replace("fixed pxp z", "fixed pxp z\nhistory h factors pxp pxp\n"
+                                 "family r system spin grid g raw h h"),
+                 10, "duplicate history labels", id="repeated-raw-history"),
+    pytest.param(demo_text("locality").replace(
+        "operator ta1 system a matrix 0.93937271284737889+0i -0.34289780745545134+0i ; "
+        "0.34289780745545134+0i 0.93937271284737889+0i",
+        "operator ta1 system a matrix 2+0i 0+0i ; 0+0i 1+0i"),
+        18, "not unitary", id="locality-step-not-unitary"),
+]
+
+
 def machine_value(report: str, record_kind: str, key: str) -> str:
     lines = report.splitlines()
     inside = False
@@ -90,6 +118,13 @@ class TestRunText:
         report, status = run_text(bad, machine=True)
         assert status == 2
         assert "nope" in report
+
+    @pytest.mark.parametrize("text, line, words", BAD_BUILDER_ARGUMENTS)
+    def test_bad_builder_argument_is_status_2(self, text, line, words):
+        report, status = run_text(text, machine=True)
+        assert status == 2
+        assert report.startswith(f"error: line {line}: ")
+        assert words in report
 
     def test_query_error_is_status_1_and_later_queries_run(self):
         report, status = run_text(demo_text("inconsistent-triple"), machine=True)
@@ -287,6 +322,25 @@ class TestMainEntry:
             assert words in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, line, words", BAD_BUILDER_ARGUMENTS)
+    def test_bad_builder_argument_check_exits_2(self, tmp_path, capsys, text, line,
+                                                words):
+        path = tmp_path / "bad.chs"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ")
+        assert words in err
+
+    def test_out_write_failure_exits_2(self, tmp_path, capsys):
+        dst = tmp_path / "missing" / "report.txt"
+        assert main(["--out", str(dst), "demo", "povm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(dst) in captured.err
+        assert captured.out == ""
+        assert not dst.exists()
+
     def test_missing_file(self, capsys):
         assert main(["run", "/does/not/exist.chs"]) == 2
 
@@ -361,7 +415,7 @@ class TestMatrixRows:
         rec = Record(1, "consistency")
         rec.add_matrix("dmatrix", matrix)
         rows, cols = matrix.shape
-        assert rec.lines == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
+        assert rec.lines(MACHINE) == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(report_matrices())
@@ -373,7 +427,7 @@ class TestMatrixRows:
         rec = Record(1, "consistency")
         rec.add_matrix("dmatrix", matrix)
         rows, cols = matrix.shape
-        assert rec.lines == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
+        assert rec.lines(MACHINE) == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
 
     def test_raw_basis_record_equals_per_element_rows(self):
         env = resolve(parse(RAW_BASIS))
@@ -394,14 +448,52 @@ class TestHumanNumbers:
         (1.23456789e-150, "1.23457e-150"),
         (5e-324, "4.94066e-324"),
         (1e300, "1e+300"),
+        (0.5, "0.5"),
     ])
     def test_three_digit_exponents_shorten_whole(self, value, short):
         rec = Record(1, "probability")
-        rec.add("value", _f(value))
-        rec.add_matrix("matrix", np.array([[complex(value, -value)]]))
+        rec.add("value", value)
+        rec.add_matrix("matrix", np.array(
+            [[complex(value, -value), complex(value, value), complex(value, 0.0)]]))
         text = render_human("s", [rec], 0)
         assert f"  value {short}\n" in text
-        assert f"  row {short}-{short}i\n" in text
+        assert f"  row {short}-{short}i {short}+{short}i {short}+0i\n" in text
+
+
+# Typed field values of every kind a runner passes to Record.add.
+FIELD_VALUES = st.one_of(
+    SPECIAL_PARTS,
+    SPECIAL_PARTS.map(np.float64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-10**20, 10**20),
+    st.integers(-10**9, 10**9).map(np.int64),
+    st.lists(st.text("abz&", min_size=1, max_size=3), min_size=1, max_size=3).map(tuple),
+    st.text("abz=,", min_size=1, max_size=4),
+)
+
+
+# A record's fields: (key, matrix) for a matrix, (key, values) otherwise.
+REPORT_FIELDS = st.lists(st.one_of(
+    st.tuples(st.just("matrix"), report_matrices()),
+    st.tuples(st.sampled_from(["value", "weight", "labels"]),
+              st.lists(FIELD_VALUES, max_size=4))), max_size=6)
+
+
+class TestHumanOracle:
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(REPORT_FIELDS)
+    def test_human_lines_are_machine_lines_shortened(self, fields):
+        rec = Record(1, "probability")
+        for key, values in fields:
+            if key == "matrix":
+                rec.add_matrix(key, values)
+            else:
+                rec.add(key, *values)
+        machine = render_machine("s", [rec], 0).splitlines()[2:-2]
+        human = render_human("s", [rec], 0).splitlines()[4:-2]
+        assert human == ["  " + human_line(line) for line in machine]
 
 
 class TestRunnerTable:
