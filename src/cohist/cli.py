@@ -106,9 +106,9 @@ def _run_consistency(rec: Record, payload: dict, env: Environment) -> None:
     rec.add("verdict", report.verdict)
     rec.add("max_offdiag_abs", report.max_offdiag_abs)
     rec.add("max_offdiag_rel", report.max_offdiag_rel)
-    for i, label in enumerate(report.labels):
-        excluded = ("excluded",) if i in report.excluded else ()
-        rec.add("weight", label, report.weights[i], *excluded)
+    for label, weight, included in zip(report.labels, report.weights,
+                                       report.included.tolist()):
+        rec.add("weight", label, weight, *(() if included else ("excluded",)))
     if report.consistent:
         probs = report.probabilities()
         for i in report.included_indices():
@@ -150,11 +150,9 @@ def _run_compatibility(rec: Record, payload: dict, env: Environment) -> None:
             rec.add("refinement_labels", *refinement.labels)
     else:
         f1, f2 = payload["families"]
-        if "dynamics" in payload:
-            f1 = f1.attach(payload["dynamics"])
         verdict = family_compatible(
-            f1, f2, tol, tol_consistency=env.tol("tol_consistency"),
-            floor=env.tol("floor"))
+            f1, f2, payload.get("dynamics"), tol,
+            tol_consistency=env.tol("tol_consistency"), floor=env.tol("floor"))
         rec.add("objects", "families")
         rec.add("compatible", verdict)
 
@@ -199,8 +197,9 @@ def _run_sample(rec: Record, payload: dict, env: Environment) -> None:
                            floor=env.tol("floor"))
     rec.add("count", count)
     rec.add("seed", seed)
+    labels = family.labels
     for i, drawn in zip(family.included_indices(), counts.tolist()):
-        rec.add("draws", family.histories[i].label, drawn)
+        rec.add("draws", labels[i], drawn)
 
 
 # query kind -> (runner, the query arguments echoed at the top of its record)
@@ -269,6 +268,8 @@ def run_text(text: str, machine: bool = False,
              tolerance_overrides: dict[str, float] | None = None,
              seed_override: int | None = None) -> tuple[str, int]:
     """Parse, validate, and execute scenario text; returns (report, exit code)."""
+    if seed_override is not None and seed_override < 0:
+        return f"error: seed must be non-negative, got {seed_override}\n", 2
     try:
         scenario = parse(text)
         env = resolve(scenario, tolerance_overrides)
@@ -315,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _parse_tolerance_flags(args.tolerance)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print(f"error: seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
 
     if args.verb == "demos":

@@ -7,10 +7,11 @@ A family admits probabilities only when all off-diagonal entries vanish
 are refused rather than silently answered.
 
 All of it is array work: `_chains` evaluates every chain of a family at once
-(per time, one batched matmul over the stacked factors), D is one Gram
-product, and `_verdict` walks the upper triangle of D in blocks of rows, so
-its temporaries stay O(block * n).  Sampling draws every index in one call
-and `sample_counts` tallies them with `np.bincount`.
+(per time, one batched matmul over the time's factor table gathered by the
+family's index column), D is one Gram product, and `_verdict` walks the upper
+triangle of D in blocks of rows, so its temporaries stay O(block * n).
+Events are boolean masks over the histories.  Sampling draws every index in
+one call and `sample_counts` tallies them with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ZeroConditionError,
 )
 from .framework import ProjectiveDecomposition
-from .histories import History, HistoryFamily, TimeGrid
+from .histories import KIND_THROWAWAY, History, HistoryFamily, TimeGrid, family_of
 # The tolerance defaults live in operators; they stay importable from here.
 from .operators import CONSISTENCY_FLOOR, TOL_ALG, TOL_CONSISTENCY, TOL_PROB, Operator
 
@@ -107,10 +108,6 @@ class Dynamics:
         steps = tuple(Operator(s.matrix, s.dims, flavor="unitary") for s in steps)
         return Dynamics(self.grid.reversed(), steps)
 
-    def equals(self, other: "Dynamics", tol: float = TOL_ALG) -> bool:
-        return (self.grid == other.grid and self.dims == other.dims
-                and all(a.allclose(b, tol) for a, b in zip(self.steps, other.steps)))
-
     def __repr__(self) -> str:
         return f"Dynamics(times={self.grid.n_times}, dim={self.dim})"
 
@@ -123,30 +120,27 @@ class ChainOperator:
     label: tuple[str, ...]
 
 
-def _chains(histories: Sequence[History], dynamics: Dynamics) -> np.ndarray:
+def _chains(family: HistoryFamily, dynamics: Dynamics) -> np.ndarray:
     """Chain operators of all histories as one (n, d, d) array.
 
-    Per time the factor matrices are stacked and K -> F_m T(t_m, t_{m-1}) K
-    is applied to every chain at once, one batched matmul per product.
+    Per time the table's matrices are stacked once and gathered by the index
+    column, and K -> F_m T(t_m, t_{m-1}) K is applied to every chain at once,
+    one batched matmul per product.
     """
-    k = np.stack([h.factors[0].matrix for h in histories])
+    tables = [np.stack([op.matrix for op in ops]) for ops in family.factors]
+    k = tables[0][family.index[:, 0]]
     for m, step in enumerate(dynamics.steps, start=1):
-        factors = np.stack([h.factors[m].matrix for h in histories])
-        k = factors @ (step.matrix @ k)
+        k = tables[m][family.index[:, m]] @ (step.matrix @ k)
     return k
 
 
 def chain_operator(history: History, dynamics: Dynamics) -> ChainOperator:
     """F_f T(t_f, t_{f-1}) ... F_1 T(t_1, t_0) F_0 for the given history."""
-    if history.n_times != dynamics.grid.n_times:
-        raise GridMismatchError(
-            f"history has {history.n_times} factors for {dynamics.grid.n_times} times"
-        )
     if history.dims != dynamics.dims:
         raise DimError(f"history dims {history.dims} do not match dynamics dims "
                        f"{dynamics.dims}")
-    return ChainOperator(Operator(_chains([history], dynamics)[0], history.dims),
-                         history.label)
+    chain = _chains(family_of(dynamics.grid, [history]), dynamics)[0]
+    return ChainOperator(Operator(chain, history.dims), history.label)
 
 
 @dataclass
@@ -178,28 +172,28 @@ class ConsistencyReport:
     def n(self) -> int:
         return len(self.labels)
 
-    def included_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if i not in self.excluded)
+    @property
+    def included(self) -> np.ndarray:
+        """Boolean mask of the histories that are not excluded."""
+        mask = np.ones(self.n, dtype=bool)
+        mask[list(self.excluded)] = False
+        return mask
 
-    def total_weight(self) -> float:
-        return float(sum(self.weights[i] for i in self.included_indices()))
+    def included_indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.included).tolist())
+
+    def total_weight(self, mask: np.ndarray | None = None) -> float:
+        """Weight of the included histories (those in `mask`, when given),
+        added one at a time in index order."""
+        keep = self.included if mask is None else mask & self.included
+        return float(sum(self.weights[keep]))
 
     def probabilities(self) -> np.ndarray:
         """Weights normalized over the non-throwaway histories."""
         total = self.total_weight()
         if total <= self.floor:
             raise WeightError(f"total weight {total:.3e} is not positive")
-        probs = np.zeros(self.n)
-        for i in self.included_indices():
-            probs[i] = max(float(self.weights[i]), 0.0) / total
-        return probs
-
-    def weight(self, label) -> float:
-        label = tuple(label)
-        for i, lab in enumerate(self.labels):
-            if lab == label:
-                return float(self.weights[i])
-        raise ValueError(f"no history labeled {label}")
+        return np.where(self.included, np.maximum(self.weights, 0.0) / total, 0.0)
 
 
 # Entries of D per verdict block; the block's temporaries stay a few MB.
@@ -251,13 +245,13 @@ def decoherence_functional(family: HistoryFamily, dynamics: Dynamics,
     if family.dims != dynamics.dims:
         raise DimError(f"family dims {family.dims} do not match dynamics dims "
                        f"{dynamics.dims}")
-    chains = _chains(family.histories, dynamics).reshape(family.n, -1)
+    chains = _chains(family, dynamics).reshape(family.n, -1)
     matrix = chains.conj() @ chains.T
     weights = matrix.diagonal().real.copy()
     consistent, max_abs, max_rel = _verdict(matrix, weights, tol_consistency, floor)
     matrix.flags.writeable = False
     weights.flags.writeable = False
-    excluded = tuple(i for i, h in enumerate(family.histories) if h.kind == "throwaway")
+    excluded = tuple(np.flatnonzero(family.kinds == KIND_THROWAWAY).tolist())
     return ConsistencyReport(
         labels=family.labels, matrix=matrix, weights=weights, excluded=excluded,
         consistent=consistent, max_offdiag_abs=max_abs, max_offdiag_rel=max_rel,
@@ -273,9 +267,7 @@ def born_weight(pd0: ProjectiveDecomposition, pd1: ProjectiveDecomposition,
     if pd0.dims != dynamics.dims or pd1.dims != dynamics.dims:
         raise DimError("decompositions do not match the dynamics dims")
     t = dynamics.step(0).matrix
-    p = pd0[j].matrix
-    q = pd1[k].matrix
-    return float(np.trace(q @ t @ p @ t.conj().T).real)
+    return float(np.trace(pd1[k].matrix @ t @ pd0[j].matrix @ t.conj().T).real)
 
 
 def _require_consistent(report: ConsistencyReport) -> None:
@@ -290,12 +282,7 @@ def _require_consistent(report: ConsistencyReport) -> None:
 def event_weight(family: HistoryFamily, report: ConsistencyReport,
                  event: Mapping[int, str | Iterable[str]] | None) -> float:
     """Total weight of non-throwaway histories matching the event."""
-    included = set(family.included_indices())
-    if event is None:
-        idx = included
-    else:
-        idx = set(family.select(event)) & included
-    return float(sum(report.weights[i] for i in idx))
+    return report.total_weight(family.mask(event or {}))
 
 
 def probability(family: HistoryFamily, dynamics: Dynamics,
@@ -316,23 +303,14 @@ def conditional_probability(family: HistoryFamily, dynamics: Dynamics,
     report = decoherence_functional(family, dynamics,
                                     tol_consistency=tol_consistency, floor=floor)
     _require_consistent(report)
-    denominator = event_weight(family, report, given)
+    given = family.mask(given or {})
+    denominator = report.total_weight(given)
     if denominator <= floor:
         raise ZeroConditionError(
             f"conditioning event has weight {denominator:.3e}; the conditional "
             "probability is undefined"
         )
-    both = dict(given or {})
-    for t, lab in target.items():
-        t = int(t)
-        new = {lab} if isinstance(lab, str) else {str(x) for x in lab}
-        if t in both:
-            old = both[t]
-            old = {old} if isinstance(old, str) else {str(x) for x in old}
-            new = new & old
-        both[t] = new
-    numerator = event_weight(family, report, both)
-    return numerator / denominator
+    return report.total_weight(given & family.mask(target)) / denominator
 
 
 def _draw(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int | None,
@@ -342,7 +320,7 @@ def _draw(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int | None
                                     tol_consistency=tol_consistency, floor=floor)
     _require_consistent(report)
     included = family.included_indices()
-    weights = np.maximum(report.weights[list(included)], 0.0)
+    weights = np.maximum(report.weights[report.included], 0.0)
     total = weights.sum()
     if total <= floor:
         raise WeightError("family carries no weight to sample from")
@@ -360,9 +338,10 @@ def sample_history(family: HistoryFamily, dynamics: Dynamics, seed: int,
     label when size is None, else a list of labels.
     """
     included, picks = _draw(family, dynamics, seed, size, tol_consistency, floor)
+    labels = family.labels
     if size is None:
-        return family.histories[included[int(picks)]].label
-    return [family.histories[included[int(i)]].label for i in picks]
+        return labels[included[int(picks)]]
+    return [labels[included[int(i)]] for i in picks]
 
 
 def sample_counts(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int,

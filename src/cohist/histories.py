@@ -1,20 +1,20 @@
 """History spaces and sample spaces of histories (families).
 
 A history assigns one projector per time; formally it is the tensor product
-of its factors on the history space H_0 (x) H_1 (x) ... (x) H_f.  Histories
-are stored factored -- one single-time projector per time, never as a dense
-d^(f+1) matrix -- which keeps chain-operator evaluation polynomial in the
-single-time dimension and the number of times.
+of its factors on the history space H_0 (x) H_1 (x) ... (x) H_f.  A family
+is stored factored, as the sample space built from one decomposition per
+time: per time a table of its distinct projectors, plus one (n, f+1) index
+array of the entry each history picks -- never a dense d^(f+1) matrix, and
+no object per history.
 
 Mutual exclusivity, the sum rule and family compatibility are decided from
-the factors too: `_pair_table` builds one table per time over the distinct
-factors and multiplies the tables across times, so these checks cost O(n^2)
-array work plus a table per time, never d^(f+1).
+the tables too: `_pair_table` evaluates a function once per pair of table
+entries at each time, gathers it by the index columns and multiplies across
+times, so these checks cost O(n^2) array work plus a table per time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -42,6 +42,7 @@ from .operators import (
 KIND_NORMAL = "normal"
 KIND_THROWAWAY = "throwaway"
 KIND_UNITARY = "unitary"
+KINDS = (KIND_NORMAL, KIND_THROWAWAY, KIND_UNITARY)
 
 
 class TimeGrid:
@@ -127,7 +128,7 @@ class History:
         label = tuple(str(l) for l in label)
         if len(label) != len(factors):
             raise ValueError(f"{len(label)} label parts for {len(factors)} factors")
-        if kind not in (KIND_NORMAL, KIND_THROWAWAY, KIND_UNITARY):
+        if kind not in KINDS:
             raise ValueError(f"unknown history kind {kind!r}")
         self.factors = factors
         self.label = label
@@ -144,40 +145,59 @@ class History:
     def display_label(self) -> str:
         return ",".join(self.label)
 
-    def time_reversed(self) -> "History":
-        return History(tuple(reversed(self.factors)), tuple(reversed(self.label)),
-                       kind=self.kind)
-
     def __repr__(self) -> str:
         return f"History({self.display_label()!r}, kind={self.kind!r})"
 
 
 class HistoryFamily:
-    """Sample space of mutually exclusive histories on one history space."""
+    """Sample space of mutually exclusive histories on one history space.
 
-    __slots__ = ("space", "histories", "dynamics")
+    Stored as the paper builds it, one decomposition per time: `factors[m]`
+    holds the distinct projectors at time m and `names[m]` their labels, and
+    row a of the read-only (n, f+1) array `index` picks history a's factor
+    factors[m][index[a, m]] at each time.  `kinds` tags each history normal,
+    throwaway or unitary.
+    """
 
-    def __init__(self, grid: TimeGrid, histories: Sequence[History], dynamics=None):
-        histories = tuple(histories)
-        if not histories:
+    __slots__ = ("space", "factors", "names", "index", "kinds")
+
+    def __init__(self, grid: TimeGrid, factors: Sequence[Sequence[Operator]],
+                 names: Sequence[Sequence[str]], index, kinds):
+        factors = tuple(tuple(ops) for ops in factors)
+        names = tuple(tuple(str(lab) for lab in labs) for labs in names)
+        index = np.array(index, dtype=np.intp)
+        kinds = np.array(kinds, dtype=str)
+        if len(factors) != grid.n_times or len(names) != grid.n_times:
+            raise GridMismatchError(
+                f"{len(factors)} factor tables for {grid.n_times} grid times")
+        if not len(index):
             raise GridMismatchError("a family needs at least one history")
-        dims = histories[0].dims
-        for h in histories:
-            if h.n_times != grid.n_times:
-                raise GridMismatchError(
-                    f"history {h.display_label()!r} has {h.n_times} factors for "
-                    f"{grid.n_times} grid times"
-                )
-            if h.dims != dims:
-                raise DimError(f"history {h.display_label()!r} has dims {h.dims}")
-        labels = [h.label for h in histories]
-        if len(set(labels)) != len(labels):
+        sizes = [len(ops) for ops in factors]
+        if ([len(labs) for labs in names] != sizes or index.shape != (len(kinds), len(sizes))
+                or not np.all((index >= 0) & (index < sizes))):
+            raise ArgumentError("factor tables, labels and index do not agree")
+        dims = factors[0][0].dims
+        for m, ops in enumerate(factors):
+            for op in ops:
+                if op.dims != dims:
+                    raise DimError(f"factor at time {m} has dims {op.dims}, expected {dims}")
+        if not set(kinds.tolist()) <= set(KINDS):
+            raise ValueError(f"unknown history kinds {set(kinds.tolist()) - set(KINDS)}")
+        # The label tuples must differ; a label's code is its last position
+        # in its table.
+        codes = []
+        for labs, col in zip(names, index.T):
+            last = {lab: k for k, lab in enumerate(labs)}
+            codes.append(np.array([last[lab] for lab in labs])[col].tolist())
+        if len(set(zip(*codes))) < len(index):
             raise ArgumentError("duplicate history labels in family")
-        if dynamics is not None and dynamics.grid != grid:
-            raise GridMismatchError("attached dynamics uses a different time grid")
+        index.flags.writeable = False
+        kinds.flags.writeable = False
         self.space = HistorySpace(grid, dims)
-        self.histories = histories
-        self.dynamics = dynamics
+        self.factors = factors
+        self.names = names
+        self.index = index
+        self.kinds = kinds
 
     @property
     def grid(self) -> TimeGrid:
@@ -189,69 +209,68 @@ class HistoryFamily:
 
     @property
     def n(self) -> int:
-        return len(self.histories)
+        return len(self.index)
 
     @property
     def labels(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(h.label for h in self.histories)
+        return tuple(zip(*[[labs[k] for k in col]
+                           for labs, col in zip(self.names, self.index.T.tolist())]))
 
-    def index_of(self, label) -> int:
-        label = tuple(label)
-        for i, h in enumerate(self.histories):
-            if h.label == label:
-                return i
-        raise ValueError(f"no history labeled {label}")
+    @property
+    def histories(self) -> tuple[History, ...]:
+        """The histories as `History` objects, built anew on each access."""
+        return tuple(History([ops[k] for ops, k in zip(self.factors, row)], label, kind)
+                     for row, label, kind in zip(self.index.tolist(), self.labels,
+                                                 self.kinds.tolist()))
 
     def included_indices(self) -> tuple[int, ...]:
         """Indices of histories that carry probability (throwaways excluded)."""
-        return tuple(i for i, h in enumerate(self.histories) if h.kind != KIND_THROWAWAY)
+        return tuple(np.flatnonzero(self.kinds != KIND_THROWAWAY).tolist())
 
-    def select(self, event: Mapping[int, str | Iterable[str]]) -> tuple[int, ...]:
-        """Histories whose label at each given time lies in the allowed set."""
-        crit: dict[int, set[str]] = {}
+    def mask(self, event: Mapping[int, str | Iterable[str]]) -> np.ndarray:
+        """Histories whose label at each given time lies in the allowed set, as
+        a boolean mask: per time, a hit table over the labels, gathered by index."""
+        hit = np.ones(self.n, dtype=bool)
         for t, lab in event.items():
             t = int(t)
             if not 0 <= t < self.grid.n_times:
                 raise GridMismatchError(f"time index {t} out of range")
-            crit[t] = {lab} if isinstance(lab, str) else {str(x) for x in lab}
-        return tuple(i for i, h in enumerate(self.histories)
-                     if all(h.label[t] in allowed for t, allowed in crit.items()))
+            allowed = {lab} if isinstance(lab, str) else {str(x) for x in lab}
+            hit &= np.array([name in allowed for name in self.names[t]])[self.index[:, t]]
+        return hit
 
-    def attach(self, dynamics) -> "HistoryFamily":
-        return HistoryFamily(self.grid, self.histories, dynamics)
+    def select(self, event: Mapping[int, str | Iterable[str]]) -> tuple[int, ...]:
+        """Histories whose label at each given time lies in the allowed set."""
+        return tuple(np.flatnonzero(self.mask(event)).tolist())
 
     def time_reversed(self) -> "HistoryFamily":
-        return HistoryFamily(self.grid.reversed(),
-                             tuple(h.time_reversed() for h in self.histories))
+        return HistoryFamily(self.grid.reversed(), self.factors[::-1], self.names[::-1],
+                             self.index[:, ::-1], self.kinds)
 
     def validate(self, tol: float = TOL_ALG) -> None:
         """Check mutual exclusivity and that the histories sum to the identity.
 
-        Both checks use the factors only.  The norm of a product of two
+        Both checks use the factor tables only.  The norm of a product of two
         histories is the product of the per-time ||A_m B_m||; the first pair
         (i < j, row-major) above tol is reported.  Mutually exclusive
         projectors sum to a projector of rank sum_a prod_m Tr F_m^a, so the
         sum is I exactly when that integer is the history-space dimension;
-        each distinct factor's rank is taken once, and the sum is exact in
-        Python ints.  Cost: a table per time over its distinct factors,
-        O(n^2) array work.
+        each table entry's rank is taken once, and the sum is exact in
+        Python ints.  Cost: a table per time, O(n^2) array work.
         """
-        hs = self.histories
-        overlap = ~(_pair_table(hs, hs, _product_norm) <= tol)
+        overlap = ~(_pair_table(self, self, _product_norm) <= tol)
         bad = np.argwhere(np.triu(overlap, k=1))
         if bad.size:
             i, j = bad[0]
+            labels = self.labels
             raise OrthogonalityError(
-                f"histories {hs[i].display_label()!r} and "
-                f"{hs[j].display_label()!r} are not mutually exclusive"
+                f"histories {','.join(labels[i])!r} and {','.join(labels[j])!r} "
+                "are not mutually exclusive"
             )
-        per_time = []
-        for m in range(self.grid.n_times):
-            ops, idx = _distinct([h.factors[m] for h in hs])
-            ranks = [round(op.trace().real) for op in ops]
-            per_time.append([ranks[k] for k in idx])
-        rank = sum(math.prod(r) for r in zip(*per_time))
-        deficit = self.space.total_dim - rank
+        rank = np.ones(self.n, dtype=object)
+        for ops, col in zip(self.factors, self.index.T):
+            rank = rank * np.array([round(op.trace().real) for op in ops], dtype=object)[col]
+        deficit = self.space.total_dim - int(rank.sum())
         if deficit:
             raise CompletenessError(
                 f"histories do not sum to the history-space identity: "
@@ -262,28 +281,24 @@ class HistoryFamily:
         return f"HistoryFamily(n={self.n}, times={self.grid.n_times}, dim={self.space.dim})"
 
 
-def product_family(grid: TimeGrid, pds: Sequence[ProjectiveDecomposition],
-                   dynamics=None) -> HistoryFamily:
+def _radix_index(sizes: Sequence[int]) -> np.ndarray:
+    """Every combination of one entry per table, in itertools.product order."""
+    return np.indices(sizes).reshape(len(sizes), -1).T
+
+
+def product_family(grid: TimeGrid, pds: Sequence[ProjectiveDecomposition]) -> HistoryFamily:
     """Family drawing the projector at each time from a fixed decomposition."""
     pds = tuple(pds)
     if len(pds) != grid.n_times:
         raise GridMismatchError(f"{len(pds)} decompositions for {grid.n_times} times")
-    dims = pds[0].dims
-    for m, pd in enumerate(pds):
-        if pd.dims != dims:
-            raise DimError(f"decomposition at time {m} has dims {pd.dims}, expected {dims}")
-    histories = [
-        History([pd[i] for pd, i in zip(pds, combo)],
-                [pd.labels[i] for pd, i in zip(pds, combo)])
-        for combo in itertools.product(*(range(pd.size) for pd in pds))
-    ]
-    return HistoryFamily(grid, histories, dynamics)
+    index = _radix_index([pd.size for pd in pds])
+    return HistoryFamily(grid, [pd.projectors for pd in pds], [pd.labels for pd in pds],
+                         index, np.full(len(index), KIND_NORMAL))
 
 
 def fixed_initial_family(grid: TimeGrid, initial: Operator,
                          later_pds: Sequence[ProjectiveDecomposition],
-                         label: str = "init", dynamics=None,
-                         tol: float = TOL_ALG) -> HistoryFamily:
+                         label: str = "init", tol: float = TOL_ALG) -> HistoryFamily:
     """Family with a fixed initial projector and per-time decompositions after it.
 
     The complementary history (I - P_0 at t_0, I afterwards) is kept in the
@@ -299,25 +314,22 @@ def fixed_initial_family(grid: TimeGrid, initial: Operator,
         raise GridMismatchError(
             f"{len(later_pds)} decompositions for {grid.f} later times"
         )
-    for m, pd in enumerate(later_pds):
-        if pd.dims != initial.dims:
-            raise DimError(f"decomposition at step {m} has dims {pd.dims}, "
-                           f"expected {initial.dims}")
-    histories = [
-        History([initial] + [pd[i] for pd, i in zip(later_pds, combo)],
-                [label] + [pd.labels[i] for pd, i in zip(later_pds, combo)])
-        for combo in itertools.product(*(range(pd.size) for pd in later_pds))
-    ]
+    factors = [[initial]] + [list(pd.projectors) for pd in later_pds]
+    names = [[label]] + [list(pd.labels) for pd in later_pds]
+    index = _radix_index([len(ops) for ops in factors])
     rest = initial.complement()
     if rest.norm() > tol:
+        # The throwaway is one more row: the complement at t_0, then an I
+        # entry appended to each later table.
         identity = Operator.identity(initial.dims)
-        histories.append(History(
-            [Operator(rest.matrix, initial.dims, flavor="projector")]
-            + [identity] * grid.f,
-            [f"!{label}"] + ["I"] * grid.f,
-            kind=KIND_THROWAWAY,
-        ))
-    return HistoryFamily(grid, histories, dynamics)
+        factors[0].append(Operator(rest.matrix, initial.dims, flavor="projector"))
+        names[0].append(f"!{label}")
+        for ops, labs in zip(factors[1:], names[1:]):
+            ops.append(identity)
+            labs.append("I")
+        index = np.vstack([index, [len(ops) - 1 for ops in factors]])
+    kinds = np.where(index[:, 0] == 0, KIND_NORMAL, KIND_THROWAWAY)
+    return HistoryFamily(grid, factors, names, index, kinds)
 
 
 def unitary_family(psi0: Ket, dynamics, labels: tuple[str, str] = ("psi", "!psi"),
@@ -327,62 +339,70 @@ def unitary_family(psi0: Ket, dynamics, labels: tuple[str, str] = ("psi", "!psi"
     The all-[psi] history is tagged as the unitary history.  The initial
     state is assigned probability 1: histories starting with the complement
     stay in the sample space for bookkeeping but are marked zero-probability
-    throwaways, so with the family's own dynamics the unitary history carries
-    all the weight.
+    throwaways, so with the dynamics it was built from the unitary history
+    carries all the weight.
     """
     psi0.require_normalized()
     grid = dynamics.grid
     kets = [psi0]
     for m in range(grid.f):
         kets.append(dynamics.step(m) @ kets[-1])
-    per_time = []
+    factors, names = [], []
     for ket in kets:
         p = dyad(ket.normalized())
         q = p.complement()
-        choices = [(labels[0], p)]
+        factors.append([p])
+        names.append([labels[0]])
         if q.norm() > tol:
-            choices.append((labels[1], Operator(q.matrix, p.dims, flavor="projector")))
-        per_time.append(choices)
-    histories = []
-    for combo in itertools.product(*per_time):
-        label = tuple(lab for lab, _ in combo)
-        if label[0] != labels[0]:
-            kind = KIND_THROWAWAY
-        elif all(lab == labels[0] for lab in label):
-            kind = KIND_UNITARY
-        else:
-            kind = KIND_NORMAL
-        histories.append(History([op for _, op in combo], label, kind=kind))
-    return HistoryFamily(grid, histories, dynamics)
+            factors[-1].append(Operator(q.matrix, p.dims, flavor="projector"))
+            names[-1].append(labels[1])
+    index = _radix_index([len(ops) for ops in factors])
+    kinds = np.where(index[:, 0] != 0, KIND_THROWAWAY,
+                     np.where(index.any(axis=1), KIND_NORMAL, KIND_UNITARY))
+    return HistoryFamily(grid, factors, names, index, kinds)
 
 
-def raw_family(grid: TimeGrid, histories: Sequence[History], dynamics=None,
+def family_of(grid: TimeGrid, histories: Sequence[History]) -> HistoryFamily:
+    """The family of the given histories, in their order.
+
+    Each time's table holds the distinct (factor object, label) pairs in
+    first-seen order.  They are keyed by id(), and the keys live only while
+    `histories` is held here.
+    """
+    histories = tuple(histories)
+    if any(h.n_times != grid.n_times for h in histories):
+        raise GridMismatchError(f"a history needs {grid.n_times} factors, one per grid time")
+    factors, names, columns = [], [], []
+    for m in range(grid.n_times):
+        first: dict[tuple[int, str], int] = {}
+        for a, h in enumerate(histories):
+            first.setdefault((id(h.factors[m]), h.label[m]), a)
+        position = {key: k for k, key in enumerate(first)}
+        factors.append([histories[a].factors[m] for a in first.values()])
+        names.append([histories[a].label[m] for a in first.values()])
+        columns.append([position[id(h.factors[m]), h.label[m]] for h in histories])
+    index = np.array(columns, dtype=np.intp).T.reshape(len(histories), grid.n_times)
+    return HistoryFamily(grid, factors, names, index, [h.kind for h in histories])
+
+
+def raw_family(grid: TimeGrid, histories: Sequence[History],
                tol: float = TOL_ALG) -> HistoryFamily:
     """Family from an explicit list of product histories; fully validated."""
-    fam = HistoryFamily(grid, histories, dynamics)
+    fam = family_of(grid, histories)
     fam.validate(tol)
     return fam
 
 
-def _distinct(ops: Sequence[Operator]) -> tuple[list[Operator], list[int]]:
-    """The distinct objects in first-seen order, and each entry's index into them."""
-    first = {id(op): op for op in ops}
-    index = {key: k for k, key in enumerate(first)}
-    return list(first.values()), [index[id(op)] for op in ops]
-
-
-def _pair_table(rows: Sequence[History], cols: Sequence[History], fn) -> np.ndarray:
+def _pair_table(rows: HistoryFamily, cols: HistoryFamily, fn) -> np.ndarray:
     """prod_m fn(A_m, B_m) for every history A of `rows` and B of `cols`.
 
-    At each time fn runs once per pair of distinct factor objects, keyed by
-    id() (the histories hold the objects, so the ids are stable for the call),
-    and the small table is broadcast to all history pairs.
+    At each time fn runs once per pair of table entries, and the small table
+    is gathered by the two index columns.
     """
     out = None
-    for m in range(rows[0].n_times):
-        a_ops, a_idx = _distinct([h.factors[m] for h in rows])
-        b_ops, b_idx = _distinct([h.factors[m] for h in cols])
-        table = np.array([[fn(a, b) for b in b_ops] for a in a_ops])[np.ix_(a_idx, b_idx)]
+    for a_ops, b_ops, a_col, b_col in zip(rows.factors, cols.factors,
+                                          rows.index.T, cols.index.T):
+        table = np.array([[fn(a, b) for b in b_ops] for a in a_ops])[np.ix_(a_col, b_col)]
         out = table if out is None else out * table
     return out
 
@@ -391,53 +411,51 @@ def _product_norm(a: Operator, b: Operator) -> float:
     return float(np.linalg.norm(a.matrix @ b.matrix))
 
 
-def family_compatible(f1: HistoryFamily, f2: HistoryFamily,
+def family_compatible(f1: HistoryFamily, f2: HistoryFamily, dynamics=None,
                       tol: float = TOL_ALG, tol_consistency: float = TOL_CONSISTENCY,
                       floor: float = CONSISTENCY_FLOOR) -> bool:
     """Whether two families on the same history space may be combined.
 
     Requires all history projectors to commute pairwise and, when dynamics
-    is attached to either family, the common refinement to pass the
-    consistency check.  Product projectors with a nonzero product commute
-    only factor by factor (A B = c B A and Tr A B = ||A B||^2 > 0 force c = 1).
+    is given, the common refinement to pass the consistency check under it.
+    Product projectors with a nonzero product commute only factor by factor
+    (A B = c B A and Tr A B = ||A B||^2 > 0 force c = 1).
     """
     if f1.dims != f2.dims:
         raise DimError(f"families live on dims {f1.dims} and {f2.dims}")
     if f1.grid != f2.grid:
         raise DimError("families use different time grids")
-    dyn = f1.dynamics if f1.dynamics is not None else f2.dynamics
-    if f1.dynamics is not None and f2.dynamics is not None \
-            and not f1.dynamics.equals(f2.dynamics, tol):
-        raise ValueError("families carry different dynamics")
+    if dynamics is not None and dynamics.grid != f1.grid:
+        raise GridMismatchError("dynamics uses a different time grid")
 
-    h1s, h2s = f1.histories, f2.histories
-    overlap = ~(_pair_table(h1s, h2s, _product_norm) <= tol)
-    commute = _pair_table(h1s, h2s, lambda a, b: commutes(a, b, tol))
+    overlap = ~(_pair_table(f1, f2, _product_norm) <= tol)
+    commute = _pair_table(f1, f2, lambda a, b: commutes(a, b, tol))
     if np.any(overlap & ~commute):
         return False
-    # Refined factors are validated once per distinct (A, B), keyed by id()
-    # as in `_pair_table`; the refined histories share the objects.
+    # The refinement has one history per overlapping pair, row-major.  Per
+    # time its table is the distinct (A, B) index pairs; each distinct
+    # product A B is validated once, keyed by the factor objects' id().
+    rows, cols = np.nonzero(overlap)
     products: dict[tuple[int, int], Operator] = {}
-
-    def product(a: Operator, b: Operator) -> Operator:
-        key = (id(a), id(b))
-        if key not in products:
-            products[key] = Operator(a.matrix @ b.matrix, a.dims, flavor="projector",
-                                     tol=tol)
-        return products[key]
-
-    refined: list[History] = []
-    for i, j in np.argwhere(overlap):
-        h1, h2 = h1s[i], h2s[j]
-        prods = [product(a, b) for a, b in zip(h1.factors, h2.factors)]
-        kind = KIND_THROWAWAY if KIND_THROWAWAY in (h1.kind, h2.kind) else KIND_NORMAL
-        label = tuple(f"{a}&{b}" for a, b in zip(h1.label, h2.label))
-        refined.append(History(prods, label, kind=kind))
-    if dyn is None:
+    factors, names, columns = [], [], []
+    for m, (a_ops, b_ops) in enumerate(zip(f1.factors, f2.factors)):
+        keys, column = np.unique(f1.index[rows, m] * len(b_ops) + f2.index[cols, m],
+                                 return_inverse=True)
+        pairs = [divmod(key, len(b_ops)) for key in keys.tolist()]
+        for i, j in pairs:
+            if (id(a_ops[i]), id(b_ops[j])) not in products:
+                products[id(a_ops[i]), id(b_ops[j])] = Operator(
+                    a_ops[i].matrix @ b_ops[j].matrix, a_ops[i].dims, flavor="projector", tol=tol)
+        factors.append([products[id(a_ops[i]), id(b_ops[j])] for i, j in pairs])
+        names.append([f"{f1.names[m][i]}&{f2.names[m][j]}" for i, j in pairs])
+        columns.append(column.reshape(-1))
+    if dynamics is None:
         return True
     from .dynamics import decoherence_functional
 
-    refinement = HistoryFamily(f1.grid, refined)
-    report = decoherence_functional(refinement, dyn,
+    throwaway = (f1.kinds[rows] == KIND_THROWAWAY) | (f2.kinds[cols] == KIND_THROWAWAY)
+    refinement = HistoryFamily(f1.grid, factors, names, np.stack(columns, axis=1),
+                               np.where(throwaway, KIND_THROWAWAY, KIND_NORMAL))
+    report = decoherence_functional(refinement, dynamics,
                                     tol_consistency=tol_consistency, floor=floor)
     return report.consistent

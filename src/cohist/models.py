@@ -240,26 +240,34 @@ class MeasurementAnalysis:
     conditionals: np.ndarray             # Pr(s^j at t_1 | pointer k), nan if undefined
 
 
+def _table(family: HistoryFamily, report: ConsistencyReport, events) -> np.ndarray:
+    """Pr(event) for each event of a nested list, as an array of its shape."""
+    total = report.total_weight()
+
+    def pr(e):
+        if isinstance(e, list):
+            return [pr(x) for x in e]
+        return event_weight(family, report, e) / total
+    return np.array(pr(events))
+
+
+def _conditional(joint: np.ndarray, given: np.ndarray, axis: int) -> np.ndarray:
+    """joint / given, where `given` runs along `axis` of the 2-d `joint`;
+    NaN where given is not above 1e-12."""
+    given = np.expand_dims(given, 1 - axis)
+    return np.divide(joint, given, out=np.full(joint.shape, np.nan), where=given > 1e-12)
+
+
 def measurement_analysis(model: MeasurementModel, c) -> MeasurementAnalysis:
     c = _amplitudes(c, model.d_s)
     family = model.family(c)
-    dyn = model.dynamics()
-    report = decoherence_functional(family, dyn)
-    d_s = model.d_s
+    report = decoherence_functional(family, model.dynamics())
     pointer_labels = model.pointer_pd.labels
-    total = report.total_weight()
-    outcome = np.array([
-        event_weight(family, report, {2: lab}) / total for lab in pointer_labels
-    ])
-    joint = np.zeros((d_s, len(pointer_labels)))
-    for j in range(d_s):
-        for k, lab in enumerate(pointer_labels):
-            joint[j, k] = event_weight(family, report, {1: f"s{j + 1}", 2: lab}) / total
-    cond = np.full_like(joint, np.nan)
-    for k in range(len(pointer_labels)):
-        if outcome[k] > 1e-12:
-            cond[:, k] = joint[:, k] / outcome[k]
-    return MeasurementAnalysis(report, pointer_labels, outcome, joint, cond)
+    outcome = _table(family, report, [{2: lab} for lab in pointer_labels])
+    joint = _table(family, report, [[{1: f"s{j + 1}", 2: lab} for lab in pointer_labels]
+                                    for j in range(model.d_s)])
+    return MeasurementAnalysis(report, pointer_labels, outcome, joint,
+                               _conditional(joint, outcome, axis=1))
 
 
 @dataclass
@@ -287,21 +295,11 @@ def preparation_analysis(model: MeasurementModel, c) -> PreparationAnalysis:
         model.grid, init, [trivial_pd(model.dims), joint_pd], label="Psi0"
     )
     report = decoherence_functional(family, model.dynamics())
-    d_s = model.d_s
-    n_ptr = model.pointer_pd.size
-    total = report.total_weight()
-    joint = np.zeros((d_s, n_ptr))
-    for i in range(d_s):
-        for j, plab in enumerate(model.pointer_pd.labels):
-            joint[i, j] = event_weight(
-                family, report, {2: f"s{i + 1}&{plab}"}
-            ) / total
-    cond = np.full_like(joint, np.nan)
-    for j in range(n_ptr):
-        col = joint[:, j].sum()
-        if col > 1e-12:
-            cond[:, j] = joint[:, j] / col
-    return PreparationAnalysis(report, joint, cond)
+    joint = _table(family, report, [[{2: f"s{i + 1}&{plab}"}
+                                     for plab in model.pointer_pd.labels]
+                                    for i in range(model.d_s)])
+    return PreparationAnalysis(report, joint,
+                               _conditional(joint, joint.sum(axis=0), axis=1))
 
 
 class ContextualPreparation:
@@ -403,17 +401,12 @@ def contextual_preparation(r_states: Sequence[Ket], c,
 def contextual_analysis(prep: ContextualPreparation) -> ContextualAnalysis:
     family = prep.family()
     report = decoherence_functional(family, prep.dynamics())
-    total = report.total_weight()
-    n = len(prep.r_states)
-    pointer_probs = np.zeros(n)
-    certainty = np.full(n, np.nan)
-    for j in range(n):
-        inside = event_weight(family, report, {1: f"r{j + 1}&P{j + 1}"}) / total
-        outside = event_weight(family, report, {1: f"!r{j + 1}&P{j + 1}"}) / total
-        pointer_probs[j] = inside + outside
-        if pointer_probs[j] > 1e-12:
-            certainty[j] = inside / pointer_probs[j]
-    return ContextualAnalysis(report, pointer_probs, certainty)
+    # columns: the particle in |r_j>, or not, beside pointer j
+    joint = _table(family, report, [[{1: f"r{j}&P{j}"}, {1: f"!r{j}&P{j}"}]
+                                    for j in range(1, len(prep.r_states) + 1)])
+    pointer_probs = joint.sum(axis=1)
+    return ContextualAnalysis(report, pointer_probs,
+                              _conditional(joint, pointer_probs, axis=0)[:, 0])
 
 
 class PovmElementSet:
@@ -640,16 +633,8 @@ def singlet_correlation(axis_a: str, axis_b: str) -> SingletCorrelation:
     family = fixed_initial_family(grid, init, [pair_pd], label="singlet")
     dyn = Dynamics.trivial(grid, (2, 2))
     report = decoherence_functional(family, dyn)
-    total = report.total_weight()
-    joint = np.zeros((2, 2))
     outcomes = ("+", "-")
-    for i, sa in enumerate(outcomes):
-        for j, sb in enumerate(outcomes):
-            lab = f"{axis_a}{sa}&{axis_b}{sb}"
-            joint[i, j] = event_weight(family, report, {1: lab}) / total
-    conditional = np.full((2, 2), np.nan)
-    for i in range(2):
-        row = joint[i].sum()
-        if row > 1e-12:
-            conditional[i] = joint[i] / row
-    return SingletCorrelation(axis_a, axis_b, outcomes, joint, conditional)
+    joint = _table(family, report, [[{1: f"{axis_a}{sa}&{axis_b}{sb}"} for sb in outcomes]
+                                    for sa in outcomes])
+    return SingletCorrelation(axis_a, axis_b, outcomes, joint,
+                              _conditional(joint, joint.sum(axis=1), axis=0))

@@ -719,9 +719,8 @@ def _parse_event(env: Environment, family: hist_mod.HistoryFamily, spec: str,
         if not 0 <= t < family.grid.n_times:
             raise ValidationError(f"time index {t} out of range", line)
         allowed = set(labels.split(","))
-        known = {h.label[t] for h in family.histories}
         for lab in allowed:
-            if lab not in known:
+            if lab not in family.names[t]:
                 raise ValidationError(
                     f"no history carries label {lab!r} at time {t}", line)
         event[t] = allowed
@@ -757,6 +756,8 @@ def _bind_query(env: Environment, q: QueryDecl) -> BoundQuery:
             if payload["count"] < 1:
                 raise ValidationError("sample count must be positive", q.line)
             payload["seed"] = parse_int(_require(q, "seed"), q.line)
+            if payload["seed"] < 0:
+                raise ValidationError("sample seed must be non-negative", q.line)
     elif q.kind == "compatibility":
         key = next((k for k in ("pds", "families") if q.arg(k) is not None), None)
         if key is None:

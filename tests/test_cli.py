@@ -133,6 +133,15 @@ class TestRunText:
         # the compatibility query after the failing ones still produced output
         assert machine_value(report, "compatibility", "compatible") == "false"
 
+    @pytest.mark.parametrize("text, override", [
+        (MINIMAL.replace("seed 3", "seed -1"), None),
+        (MINIMAL, -1),
+    ], ids=["scenario-seed", "seed-override"])
+    def test_negative_seed_is_status_2(self, text, override):
+        report, status = run_text(text, machine=True, seed_override=override)
+        assert status == 2
+        assert report.startswith("error: ") and "non-negative" in report
+
     def test_human_mode_runs(self):
         report, status = run_text(MINIMAL, machine=False)
         assert status == 0
@@ -274,6 +283,12 @@ class TestMainEntry:
         assert main(["--machine", "--seed", "42", "run", str(src)]) == 0
         out = capsys.readouterr().out
         assert "seed 42" in out
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert main(["--seed", "-1", "demo", "three-toss"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
 
     def test_tolerance_flag_syntax_error(self, capsys):
         assert main(["--tolerance", "garbage", "demos"]) == 2

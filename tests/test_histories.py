@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cohist import (
+    ArgumentError,
     CompletenessError,
     DimError,
     Dynamics,
@@ -182,6 +183,18 @@ class TestRawFamily:
         with pytest.raises(CompletenessError):
             raw_family(grid, [History([zp, zp], ["a", "b"])])
 
+    def test_repeated_label_tuple_rejected(self):
+        # Two factor objects under one label: distinct table entries, equal
+        # label tuples.
+        grid = TimeGrid([0, 1])
+        zp, zm = spin_projectors("z")
+        ident = Operator.identity(2)
+        with pytest.raises(ArgumentError, match="duplicate history labels"):
+            raw_family(grid, [History([zp, ident], ["z", "I"]),
+                              History([zm, ident], ["z", "I"])])
+        with pytest.raises(ArgumentError, match="duplicate history labels"):
+            unitary_family(Ket([1, 0]), Dynamics.trivial(grid, 2), labels=("a", "a"))
+
     def test_overlapping_histories_rejected(self):
         grid = TimeGrid([0, 1])
         ident = Operator.identity(2)
@@ -218,11 +231,10 @@ class TestFamilyCompatibility:
         grid = TimeGrid([0, 1, 2])
         xp, _ = spin_projectors("x")
         dyn = Dynamics.trivial(grid, 2)
-        f1 = fixed_initial_family(grid, xp, [spin_pd("z"), trivial_pd(2)],
-                                  dynamics=dyn)
-        f2 = fixed_initial_family(grid, xp, [trivial_pd(2), spin_pd("x")],
-                                  dynamics=dyn)
-        assert not family_compatible(f1, f2)
+        f1 = fixed_initial_family(grid, xp, [spin_pd("z"), trivial_pd(2)])
+        f2 = fixed_initial_family(grid, xp, [trivial_pd(2), spin_pd("x")])
+        assert family_compatible(f1, f2)
+        assert not family_compatible(f1, f2, dyn)
 
     @pytest.mark.parametrize("dynamics", ["none", "trivial", "random"])
     def test_refined_products_built_once_per_distinct_pair(self, monkeypatch,
@@ -248,7 +260,7 @@ class TestFamilyCompatibility:
             return Operator(matrix, *args, **kwargs)
 
         monkeypatch.setattr(hist_mod, "Operator", counting)
-        verdict = family_compatible(fine.attach(dyn) if dyn else fine, coarse)
+        verdict = family_compatible(fine, coarse, dyn)
         assert len(built) == 3
         # Each product p_i q equals p_i, so the refinement is the fine family.
         if dyn is None:
@@ -260,11 +272,9 @@ class TestFamilyCompatibility:
     def test_with_dynamics_consistent_refinement_passes(self):
         grid = TimeGrid([0, 1, 2])
         dyn = Dynamics.trivial(grid, 2)
-        f1 = product_family(grid, [trivial_pd(2), spin_pd("z"), trivial_pd(2)],
-                            dynamics=dyn)
-        f2 = product_family(grid, [trivial_pd(2), trivial_pd(2), spin_pd("z")],
-                            dynamics=dyn)
-        assert family_compatible(f1, f2)
+        f1 = product_family(grid, [trivial_pd(2), spin_pd("z"), trivial_pd(2)])
+        f2 = product_family(grid, [trivial_pd(2), trivial_pd(2), spin_pd("z")])
+        assert family_compatible(f1, f2, dyn)
 
     def test_tolerance_defaults_have_one_home(self):
         import inspect

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from cohist import (
     CompletenessError,
     History,
-    HistoryFamily,
     Operator,
     OrthogonalityError,
     TimeGrid,
     family_compatible,
+    family_of,
     make_pd,
     product_family,
     raw_family,
@@ -69,8 +69,8 @@ def test_dropped_history_is_incomplete(case, data):
     kept = fam.histories[:drop] + fam.histories[drop + 1:]
     with pytest.raises(CompletenessError) as err:
         raw_family(fam.grid, kept)
-    residual = dense_identity_residual(HistoryFamily(fam.grid, kept))
-    assert not dense_identity_check(HistoryFamily(fam.grid, kept))
+    residual = dense_identity_residual(family_of(fam.grid, kept))
+    assert not dense_identity_check(family_of(fam.grid, kept))
     assert f"||sum - I|| = {residual:.3e}" in str(err.value)
 
 
@@ -125,7 +125,7 @@ def test_pair_table_runs_once_per_distinct_factor_pair():
         calls.append((a, b))
         return float(np.linalg.norm(a.matrix @ b.matrix))
 
-    table = _pair_table(fam.histories, fam.histories, norm)
+    table = _pair_table(fam, fam, norm)
     assert len(calls) == 3 * 2 * 2
     expected = [[np.prod([np.linalg.norm(a.matrix @ b.matrix)
                           for a, b in zip(h1.factors, h2.factors)])
