@@ -36,9 +36,11 @@ from .models import einstein_locality_check, povm_from_ancilla
 from .scenario import Environment, Scenario, parse, resolve
 
 
-# the two number formats: (real, complex entry)
-MACHINE = ("%.16e", "%.16e%+.16ei")
-HUMAN = ("%.6g", "%.6g%+.6gi")
+# the two number formats of a real; a complex entry is `re+imi` in the same one
+MACHINE = "%.16e"
+HUMAN = "%.6g"
+_SIGN_BIT = np.int64(-1 << 63)
+_FLIP = {"+": "-", "-": "+"}
 
 
 def _text(value, real: str) -> str:
@@ -52,6 +54,51 @@ def _text(value, real: str) -> str:
     if isinstance(value, tuple):  # a history label
         return ",".join(value)
     return real % value
+
+
+def _matrix_rows(matrix: np.ndarray, real: str, head: str) -> list[str]:
+    """One `head` line per row of a C-contiguous complex matrix: the row's
+    entries as `re+imi` texts, each number in the format `real`.
+
+    An exact +0+0i (bit pattern zero in both parts; -0.0 is formatted) is the
+    one shared zero text.  The other entries are formatted once each, all in
+    one %-format, except that a below-diagonal entry whose bits are the
+    conjugate of its finite mirror's takes the mirror's text with the sign
+    of the imaginary part flipped.
+    """
+    rows, cols = matrix.shape
+    if not cols:
+        return [head + " "] * rows
+    flat = matrix.reshape(-1)
+    bits = flat.view(np.int64).reshape(-1, 2)
+    nonzero = bits != 0
+    at = np.flatnonzero(nonzero[:, 0] | nonzero[:, 1])
+    r, c = np.divmod(at, cols)
+    mirror = np.where((r > c) & (r < cols), c * cols + r, at)
+    mirrored = ((bits[mirror, 0] == bits[at, 0]) & (bits[mirror, 1] == bits[at, 1] ^ _SIGN_BIT)
+                & np.isfinite(flat[mirror]))
+    own = flat[at[~mirrored]].view(np.float64).tolist()
+    parts = (" ".join([f"{real} %+{real[1:]}"] * (len(own) // 2)) % tuple(own)).split(" ")
+    zero_parts = (real % 0.0, "+" + real % 0.0)
+    zero = "".join(zero_parts) + "i"
+    cut = np.searchsorted(at, np.arange(0, rows * cols + 1, cols)).tolist()
+    at, slots, mirror, mirrored = at.tolist(), (c + 1).tolist(), mirror.tolist(), mirrored.tolist()
+    done = {}  # flat index -> (real text, signed imaginary text)
+    k = 0
+    out = []
+    for i in range(rows):
+        line = [head] + [zero] * cols
+        for a in range(cut[i], cut[i + 1]):
+            if mirrored[a]:
+                # a mirror that is exactly +0+0i was not formatted
+                re_part, im_part = done.get(mirror[a], zero_parts)
+                im_part = _FLIP[im_part[0]] + im_part[1:]
+            else:
+                re_part, im_part = done[at[a]] = parts[k], parts[k + 1]
+                k += 2
+            line[slots[a]] = re_part + im_part + "i"
+        out.append(" ".join(line))
+    return out
 
 
 class Record:
@@ -69,28 +116,20 @@ class Record:
     def add_matrix(self, key: str, matrix: np.ndarray) -> None:
         self.fields.append((key, np.ascontiguousarray(matrix, dtype=np.complex128)))
 
-    def lines(self, numbers: tuple[str, str]) -> list[str]:
-        """This record's report lines, each number in the format `numbers`.
+    def lines(self, real: str, indent: str = "") -> list[str]:
+        """This record's report lines, each number in the format `real` and
+        each line starting with `indent`.
 
         A matrix is a `rows cols` line, then one `row` line per matrix row.
-        Each row is one %-format over the entries that are not exactly +0+0i
-        (bit pattern zero in both parts; -0.0 is formatted); the exact zeros
-        are literal text in that row's template.
         """
-        real, entry = numbers
-        zero = entry % (0.0, 0.0)
         out = []
         for key, values in self.fields:
             if not isinstance(values, np.ndarray):
-                out.append(f"{key} " + " ".join([_text(v, real) for v in values]))
+                out.append(f"{indent}{key} " + " ".join([_text(v, real) for v in values]))
                 continue
             rows, cols = values.shape
-            out.append(f"{key} {rows} {cols}")
-            keep = values.view(np.int64).reshape(rows, cols, 2).any(axis=2)
-            for row, row_keep in zip(values, keep):
-                template = "row " + " ".join([entry if k else zero
-                                              for k in row_keep.tolist()])
-                out.append(template % tuple(row[row_keep].view(np.float64).tolist()))
+            out.append(f"{indent}{key} {rows} {cols}")
+            out.extend(_matrix_rows(values, real, indent + "row"))
         return out
 
 
@@ -247,8 +286,8 @@ def render_machine(scenario_name: str, records: list[Record], status: int) -> st
         out.append(f"record {rec.index} {rec.kind}")
         out.extend(rec.lines(MACHINE))
         out.append("end")
-    out.append(f"status {status}")
-    return "\n".join(out) + "\n"
+    out.append(f"status {status}\n")
+    return "\n".join(out)
 
 
 def render_human(scenario_name: str, records: list[Record], status: int) -> str:
@@ -258,10 +297,10 @@ def render_human(scenario_name: str, records: list[Record], status: int) -> str:
         out.append("")
         out.append(head)
         out.append("-" * len(head))
-        out.extend(["  " + line for line in rec.lines(HUMAN)])
+        out.extend(rec.lines(HUMAN, "  "))
     out.append("")
-    out.append(f"Status: {'ok' if status == 0 else 'query errors occurred'}")
-    return "\n".join(out) + "\n"
+    out.append(f"Status: {'ok' if status == 0 else 'query errors occurred'}\n")
+    return "\n".join(out)
 
 
 def run_text(text: str, machine: bool = False,

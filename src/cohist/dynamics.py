@@ -208,7 +208,10 @@ def _verdict(matrix: np.ndarray, weights: np.ndarray, tol_consistency: float,
     that form so that a NaN fails it; the maxima propagate NaN too, and a
     non-finite weight fails the family even when it has no pairs.  The
     relative maximum runs over the pairs with sqrt(W_a W_b) > floor.  The
-    upper triangle is walked a block of rows at a time.
+    upper triangle is walked a block of rows at a time, and only its entries
+    that are not exactly zero are tested: an exact zero passes its bound and
+    adds nothing to either maximum.  So past one comparison per entry, the
+    cost follows the nonzero pairs.
     """
     n = len(weights)
     positive = np.maximum(weights, 0.0)
@@ -217,18 +220,22 @@ def _verdict(matrix: np.ndarray, weights: np.ndarray, tol_consistency: float,
     rows = max(1, _VERDICT_BLOCK // n)
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
-        block = matrix[r0:r1, r0 + 1:]
+        block = matrix[r0:r1]
+        # the nonzero entries of these rows, then those right of the diagonal
+        a, b = np.nonzero(block != 0)
+        upper = b > a + r0
+        a, b = a[upper], b[upper]
+        z = block[a, b]
+        a += r0
         # hypot, as complex abs() of one entry; np.abs on complex arrays may
         # round differently in the last place.
-        off = np.hypot(block.real, block.imag)
-        scale = np.sqrt(positive[r0:r1, None] * positive[None, r0 + 1:])
-        upper = np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
+        off = np.hypot(z.real, z.imag)
+        scale = np.sqrt(positive[a] * positive[b])
         bound = np.maximum(tol_consistency * scale, floor)
-        consistent = consistent and bool(np.all(off <= bound, where=upper))
-        max_abs = float(np.max(off, where=upper, initial=max_abs))
-        rel = np.divide(off, scale, out=np.zeros_like(off),
-                        where=upper & (scale > floor))
-        max_rel = float(np.max(rel, initial=max_rel))
+        consistent = consistent and bool(np.all(off <= bound))
+        max_abs = float(np.max(off, initial=max_abs))
+        weighted = scale > floor
+        max_rel = float(np.max(off[weighted] / scale[weighted], initial=max_rel))
     return consistent, max_abs, max_rel
 
 

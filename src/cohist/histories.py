@@ -8,9 +8,12 @@ array of the entry each history picks -- never a dense d^(f+1) matrix, and
 no object per history.
 
 Mutual exclusivity, the sum rule and family compatibility are decided from
-the tables too: `_pair_table` evaluates a function once per pair of table
-entries at each time, gathers it by the index columns and multiplies across
-times, so these checks cost O(n^2) array work plus a table per time.
+the tables too: `_entry_tables` evaluates a function once per pair of table
+entries at each time, and `_pair_table` gathers those tables by the index
+columns and multiplies across times.  Family compatibility costs O(n1 n2)
+array work plus a table per time; `validate` costs only the tables when
+each time's distinct entries are exactly orthogonal, as for basis and
+product families, and O(n^2) array work otherwise.
 """
 
 from __future__ import annotations
@@ -252,21 +255,28 @@ class HistoryFamily:
 
         Both checks use the factor tables only.  The norm of a product of two
         histories is the product of the per-time ||A_m B_m||; the first pair
-        (i < j, row-major) above tol is reported.  Mutually exclusive
-        projectors sum to a projector of rank sum_a prod_m Tr F_m^a, so the
-        sum is I exactly when that integer is the history-space dimension;
-        each table entry's rank is taken once, and the sum is exact in
-        Python ints.  Cost: a table per time, O(n^2) array work.
+        (i < j, row-major) above tol is reported.  Distinct label tuples are
+        distinct index rows, so when every time's table of ||A B|| is zero
+        off its diagonal (and finite), every pair has a zero product and the
+        n x n product table is not built.  Mutually exclusive projectors sum
+        to a projector of rank sum_a prod_m Tr F_m^a, so the sum is I exactly
+        when that integer is the history-space dimension; each table entry's
+        rank is taken once, and the sum is exact in Python ints.  Cost: a
+        k x k table per time, O(n) work for the rank sum, and O(n^2) array
+        work only when some time's distinct entries overlap.
         """
-        overlap = ~(_pair_table(self, self, _product_norm) <= tol)
-        bad = np.argwhere(np.triu(overlap, k=1))
-        if bad.size:
-            i, j = bad[0]
-            labels = self.labels
-            raise OrthogonalityError(
-                f"histories {','.join(labels[i])!r} and {','.join(labels[j])!r} "
-                "are not mutually exclusive"
-            )
+        tables = _entry_tables(self, self, _product_norm)
+        # A negative or NaN tol fails even a zero product.
+        if not (0.0 <= tol and all(map(_disjoint, tables))):
+            overlap = ~(_pair_table(self, self, tables) <= tol)
+            bad = np.argwhere(np.triu(overlap, k=1))
+            if bad.size:
+                i, j = bad[0]
+                labels = self.labels
+                raise OrthogonalityError(
+                    f"histories {','.join(labels[i])!r} and {','.join(labels[j])!r} "
+                    "are not mutually exclusive"
+                )
         rank = np.ones(self.n, dtype=object)
         for ops, col in zip(self.factors, self.index.T):
             rank = rank * np.array([round(op.trace().real) for op in ops], dtype=object)[col]
@@ -393,18 +403,27 @@ def raw_family(grid: TimeGrid, histories: Sequence[History],
     return fam
 
 
-def _pair_table(rows: HistoryFamily, cols: HistoryFamily, fn) -> np.ndarray:
-    """prod_m fn(A_m, B_m) for every history A of `rows` and B of `cols`.
+def _entry_tables(rows: HistoryFamily, cols: HistoryFamily, fn) -> list[np.ndarray]:
+    """fn(A, B) for every entry A of a `rows` table and B of the `cols` table
+    of the same time: one (k1, k2) array per time."""
+    return [np.array([[fn(a, b) for b in b_ops] for a in a_ops])
+            for a_ops, b_ops in zip(rows.factors, cols.factors)]
 
-    At each time fn runs once per pair of table entries, and the small table
-    is gathered by the two index columns.
-    """
+
+def _pair_table(rows: HistoryFamily, cols: HistoryFamily, tables) -> np.ndarray:
+    """prod_m tables[m][A_m, B_m] for every history A of `rows` and B of `cols`:
+    each time's entry table gathered by the two index columns."""
     out = None
-    for a_ops, b_ops, a_col, b_col in zip(rows.factors, cols.factors,
-                                          rows.index.T, cols.index.T):
-        table = np.array([[fn(a, b) for b in b_ops] for a in a_ops])[np.ix_(a_col, b_col)]
+    for table, a_col, b_col in zip(tables, rows.index.T, cols.index.T):
+        table = table[np.ix_(a_col, b_col)]
         out = table if out is None else out * table
     return out
+
+
+def _disjoint(table: np.ndarray) -> bool:
+    """Whether a time's table of ||A B|| is finite and exactly zero off its
+    diagonal."""
+    return bool(np.isfinite(table).all() and not table[~np.eye(len(table), dtype=bool)].any())
 
 
 def _product_norm(a: Operator, b: Operator) -> float:
@@ -428,8 +447,8 @@ def family_compatible(f1: HistoryFamily, f2: HistoryFamily, dynamics=None,
     if dynamics is not None and dynamics.grid != f1.grid:
         raise GridMismatchError("dynamics uses a different time grid")
 
-    overlap = ~(_pair_table(f1, f2, _product_norm) <= tol)
-    commute = _pair_table(f1, f2, lambda a, b: commutes(a, b, tol))
+    overlap = ~(_pair_table(f1, f2, _entry_tables(f1, f2, _product_norm)) <= tol)
+    commute = _pair_table(f1, f2, _entry_tables(f1, f2, lambda a, b: commutes(a, b, tol)))
     if np.any(overlap & ~commute):
         return False
     # The refinement has one history per overlapping pair, row-major.  Per

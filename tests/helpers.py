@@ -1,6 +1,7 @@
 """Seeded random generators and dense reference checks shared across the
 test modules."""
 
+import math
 import re
 
 import numpy as np
@@ -82,6 +83,21 @@ def dense_first_overlap(histories, tol=1e-10):
     return None
 
 
+def pairwise_first_overlap(fam, tol=1e-10):
+    """First pair (i, j), i < j in row-major order, whose product of per-time
+    ||A_m B_m|| is not <= tol: the factored overlap rule, one pair at a time."""
+    histories = fam.histories
+    for i in range(len(histories)):
+        for j in range(i + 1, len(histories)):
+            norm = None
+            for a, b in zip(histories[i].factors, histories[j].factors):
+                x = float(np.linalg.norm(a.matrix @ b.matrix))
+                norm = x if norm is None else norm * x
+            if not norm <= tol:
+                return i, j
+    return None
+
+
 def dense_families_commute(f1, f2, tol=1e-10):
     """Independent oracle for family compatibility without dynamics: every
     pair of history projectors commutes on the history space."""
@@ -121,10 +137,13 @@ def pairwise_verdict(matrix, weights, tol_consistency, floor):
         for j in range(i + 1, n):
             off = abs(matrix[i, j])
             scale = float(np.sqrt(max(weights[i], 0.0) * max(weights[j], 0.0)))
-            max_abs = max(max_abs, off)
+            # max() keeps its first argument against a NaN; a NaN maximum
+            # stays NaN from then on.
+            max_abs = off if math.isnan(off) else max(max_abs, off)
             if scale > floor:
-                max_rel = max(max_rel, off / scale)
-            if off > max(tol_consistency * scale, floor):
+                rel = off / scale
+                max_rel = rel if math.isnan(rel) else max(max_rel, rel)
+            if not off <= max(tol_consistency * scale, floor):
                 consistent = False
     return consistent, max_abs, max_rel
 

@@ -1,12 +1,14 @@
 """CLI dispatch, report formats, exit codes, demo corpus."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohist import decoherence_functional
-from cohist.cli import (MACHINE, RUNNERS, Record, main, render_human,
+from cohist.cli import (HUMAN, MACHINE, RUNNERS, Record, main, render_human,
                         render_machine, run_text)
 from cohist.demos import DEMOS, demo_text, list_demos
 from cohist.scenario import QUERY_KINDS, parse, resolve
@@ -416,6 +418,40 @@ def report_matrices(draw):
     return matrix
 
 
+@st.composite
+def hermitian_matrices(draw):
+    """A matrix whose square part is mostly the exact conjugate transpose of
+    itself, with some mirror pairs broken: one ulp off in either part, a
+    zero imaginary part of either sign, NaN or an infinity; then possibly
+    cut to a non-square or a 0-column shape."""
+    n = draw(st.integers(1, 5))
+    parts = st.one_of(st.just(0.0), SPECIAL_PARTS)
+    upper = np.array([complex(draw(parts), draw(parts)) if draw(st.integers(0, 2)) else 0j
+                      for _ in range(n * n)], dtype=np.complex128).reshape(n, n)
+    matrix = upper.copy()
+    lower = np.tril_indices(n, -1)
+    matrix[lower] = upper.T.conj()[lower]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        z = matrix[i, j]
+        with np.errstate(over="ignore"):
+            one_ulp = (complex(np.nextafter(z.real, np.inf), z.imag),
+                       complex(z.real, np.nextafter(z.imag, -np.inf)))
+        matrix[i, j] = draw(st.sampled_from([
+            *one_ulp,
+            complex(z.real, 0.0), complex(z.real, -0.0),
+            complex(math.nan, z.imag), complex(z.real, math.nan),
+            complex(math.inf, z.imag), complex(z.real, -math.inf)]))
+    shape = draw(st.sampled_from(["square", "wide", "tall", "empty"]))
+    if shape == "wide":
+        matrix = np.hstack([matrix, matrix[:, :1]])
+    elif shape == "tall":
+        matrix = matrix[:-1] if n > 1 else np.vstack([matrix, matrix])
+    elif shape == "empty":
+        matrix = matrix[:, :0]
+    return matrix
+
+
 class TestMatrixRows:
 
     @pytest.mark.parametrize("matrix", [
@@ -443,6 +479,19 @@ class TestMatrixRows:
         rec.add_matrix("dmatrix", matrix)
         rows, cols = matrix.shape
         assert rec.lines(MACHINE) == [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(hermitian_matrices())
+    @example(np.array([[1.0, 2 + 3j], [2 - 3j, 4.0]]))
+    @example(np.array([[0j, complex(0.0, 0.0)], [complex(0.0, -0.0), 0j]]))
+    @example(np.array([[0j, complex(1.0, math.nan)], [complex(1.0, -math.nan), 0j]]))
+    def test_mirrored_rows_equal_per_element_format(self, matrix):
+        rec = Record(1, "consistency")
+        rec.add_matrix("dmatrix", matrix)
+        rows, cols = matrix.shape
+        machine = [f"dmatrix {rows} {cols}"] + per_element_rows(matrix)
+        assert rec.lines(MACHINE) == machine
+        assert rec.lines(HUMAN, "  ") == ["  " + human_line(line) for line in machine]
 
     def test_raw_basis_record_equals_per_element_rows(self):
         env = resolve(parse(RAW_BASIS))

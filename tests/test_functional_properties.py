@@ -1,10 +1,11 @@
 """The array-native decoherence functional against per-history references.
 
 `decoherence_functional` evaluates every chain of a family in one batched
-pass and decides the verdict with array reductions over blocks of rows.
-These properties compare it with the per-history chain loop, one trace per
-pair, and the pairwise verdict loop in `helpers`, on random small product
-families (d <= 3, up to four times) and at several block sizes.
+pass and decides the verdict with array reductions over the nonzero entries
+of blocks of rows.  These properties compare it with the per-history chain
+loop, one trace per pair, and the pairwise verdict loop in `helpers`, on
+random small product families (d <= 3, up to four times), on mostly-zero
+functionals of basis-product families, and at several block sizes.
 """
 
 import math
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from cohist import (
     Dynamics,
+    Operator,
     TimeGrid,
+    basis_pd,
     chain_operator,
     decoherence_functional,
     product_family,
@@ -78,6 +81,51 @@ def test_verdict_equals_pairwise_loop(case, block, tols):
         report = decoherence_functional(fam, dyn, tol_consistency=tol, floor=floor)
     want = pairwise_verdict(report.matrix, report.weights, tol, floor)
     assert (report.consistent, report.max_offdiag_abs, report.max_offdiag_rel) == want
+
+
+# Entries written over a mostly-zero D: both signs of zero in each part, NaN,
+# and values just above zero.
+ODD_ENTRIES = st.sampled_from([
+    complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+    complex(math.nan, 0.0), complex(0.0, math.nan),
+    complex(1e-17, 0.0), complex(0.0, -1e-17), complex(-1e-17, 1e-17)])
+
+
+@st.composite
+def sparse_functionals(draw):
+    """D and the weights of a basis-product family under dynamics that permute
+    the basis with phases, with a few entries overwritten by ODD_ENTRIES.
+
+    Each chain is a multiple of one dyad |k><i>, so D(a, b) is exactly zero
+    unless a and b start and end in the same basis states."""
+    d = draw(st.integers(1, 4))
+    n_times = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = TimeGrid(range(n_times))
+    steps = []
+    for _ in range(n_times - 1):
+        u = np.zeros((d, d), dtype=complex)
+        u[rng.permutation(d), np.arange(d)] = np.exp(2j * np.pi * rng.uniform(size=d))
+        steps.append(Operator(u, (d,), flavor="unitary"))
+    report = decoherence_functional(product_family(grid, [basis_pd(d)] * n_times),
+                                    Dynamics(grid, steps))
+    dmat = np.array(report.matrix)
+    n = report.n
+    for _ in range(draw(st.integers(0, 4))):
+        dmat[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(ODD_ENTRIES)
+    return dmat, np.array(report.weights)
+
+
+@PROPERTY
+@given(sparse_functionals(), BLOCKS, TOLERANCES)
+def test_verdict_on_mostly_zero_functionals_equals_pairwise_loop(case, block, tols):
+    dmat, weights = case
+    tol, floor = tols
+    with patch.object(dyn_mod, "_VERDICT_BLOCK", block):
+        got = dyn_mod._verdict(dmat, weights, tol, floor)
+    want = pairwise_verdict(dmat, weights, tol, floor)
+    # repr matches NaN with NaN and tells -0.0 from 0.0.
+    assert [repr(float(x)) for x in got] == [repr(float(x)) for x in want]
 
 
 @PROPERTY

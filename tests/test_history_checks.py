@@ -3,9 +3,12 @@
 `HistoryFamily.validate` and `family_compatible` decide mutual exclusivity,
 the sum rule and commutation from the single-time factors.  These properties
 compare them with explicit kron products on random small product families
-(d <= 3, up to three times), where the dense matrices are cheap.
+(d <= 3, up to three times), where the dense matrices are cheap, and the
+exclusivity verdict with a pair-at-a-time product of factor norms on raw
+families whose tables are orthogonal, nearly orthogonal or overlapping.
 """
 
+import itertools
 import math
 from unittest.mock import patch
 
@@ -28,12 +31,14 @@ from cohist import (
     spin_pd,
     trivial_pd,
 )
-from cohist.histories import _pair_table
+from cohist import histories as hist_mod
+from cohist.histories import _entry_tables, _pair_table
 from helpers import (
     dense_families_commute,
     dense_first_overlap,
     dense_identity_check,
     dense_identity_residual,
+    pairwise_first_overlap,
     random_pd,
     random_projector,
 )
@@ -117,6 +122,63 @@ def test_family_compatible_matches_dense_commutator(case, data):
     assert family_compatible(fam2, fam) == dense_families_commute(fam2, fam)
 
 
+def _table(kind, d, rng):
+    """Projectors for one time: a basis (distinct entries exactly orthogonal),
+    a basis with one vector tilted by at most 1e-11 (products tiny but not
+    zero), or random projectors (overlapping)."""
+    if kind == "overlapping":
+        return [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(d)]
+    vectors = np.eye(d, dtype=complex)
+    if kind == "tiny":
+        eps = rng.uniform(1e-14, 1e-11)
+        vectors[1] = np.cos(eps) * vectors[1] + np.sin(eps) * vectors[0]
+    return [Operator(np.outer(v, v.conj()), (d,), flavor="projector") for v in vectors]
+
+
+@st.composite
+def tabled_families(draw):
+    """A raw family over per-time tables of the three kinds in `_table`,
+    its histories some distinct combinations of one entry per time."""
+    d = draw(st.integers(2, 3))
+    n_times = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [draw(st.sampled_from(["orthogonal", "tiny", "overlapping"]))
+             for _ in range(n_times)]
+    tables = [_table(kind, d, rng) for kind in kinds]
+    combos = list(itertools.product(range(d), repeat=n_times))
+    keep = draw(st.lists(st.sampled_from(combos), min_size=2, max_size=12, unique=True))
+    histories = [History([tables[m][k] for m, k in enumerate(combo)],
+                         [f"{kinds[m][0]}{k}" for m, k in enumerate(combo)])
+                 for combo in keep]
+    return family_of(TimeGrid(range(n_times)), histories)
+
+
+@PROPERTY
+@given(tabled_families(), st.sampled_from([1e-10, 1e-6]))
+def test_exclusivity_matches_pairwise_products(fam, tol):
+    want = pairwise_first_overlap(fam, tol)
+    with patch.object(hist_mod, "_pair_table", wraps=_pair_table) as walk:
+        try:
+            fam.validate(tol)
+            got = None
+        except OrthogonalityError as err:
+            got = str(err)
+        except CompletenessError:
+            got = None
+    if want is None:
+        assert got is None
+    else:
+        i, j = want
+        labels = fam.labels
+        assert got == (f"histories {','.join(labels[i])!r} and {','.join(labels[j])!r} "
+                       "are not mutually exclusive")
+    # The n x n product table is built exactly when some two distinct entries
+    # of one time's table have a product that is not exactly zero.
+    overlapping = any(np.linalg.norm(a.matrix @ b.matrix) != 0.0
+                      for ops in fam.factors for a, b in itertools.permutations(ops, 2))
+    assert walk.called == overlapping
+
+
 def test_pair_table_runs_once_per_distinct_factor_pair():
     fam = product_family(TimeGrid([0, 1, 2]), [spin_pd("z"), spin_pd("x"), spin_pd("z")])
     calls = []
@@ -125,7 +187,7 @@ def test_pair_table_runs_once_per_distinct_factor_pair():
         calls.append((a, b))
         return float(np.linalg.norm(a.matrix @ b.matrix))
 
-    table = _pair_table(fam, fam, norm)
+    table = _pair_table(fam, fam, _entry_tables(fam, fam, norm))
     assert len(calls) == 3 * 2 * 2
     expected = [[np.prod([np.linalg.norm(a.matrix @ b.matrix)
                           for a, b in zip(h1.factors, h2.factors)])
