@@ -10,8 +10,10 @@ All of it is array work: `_chains` evaluates every chain of a family at once
 (per time, one batched matmul over the time's factor table gathered by the
 family's index column), D is one Gram product, and `_verdict` walks the upper
 triangle of D in blocks of rows, so its temporaries stay O(block * n).
-Events are boolean masks over the histories.  Sampling draws every index in
-one call and `sample_counts` tallies them with `np.bincount`.
+Events are boolean masks over the histories.  Sampling draws as
+`Generator.choice` with weights does, from one array of uniforms and the
+cumulative weights; `sample_history` looks each draw up, and `sample_counts`
+sorts the draws once and counts them below each cumulative weight.
 """
 
 from __future__ import annotations
@@ -321,8 +323,16 @@ def conditional_probability(family: HistoryFamily, dynamics: Dynamics,
 
 
 def _draw(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int | None,
-          tol_consistency: float, floor: float) -> tuple[tuple[int, ...], np.ndarray]:
-    """The included history indices, and draws of positions into them."""
+          tol_consistency: float, floor: float
+          ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray | float]:
+    """The included history indices, their cumulative distribution and the
+    uniform draws into it.
+
+    This is how `Generator.choice(k, size, p=p)` draws: `cdf = cumsum(p)`
+    divided by its last entry, `u = rng.random(size)`, and draw i is the
+    position `cdf.searchsorted(u[i], "right")`.  Drawing u here lets
+    `sample_counts` tally the positions without finding each one.
+    """
     report = decoherence_functional(family, dynamics,
                                     tol_consistency=tol_consistency, floor=floor)
     _require_consistent(report)
@@ -331,8 +341,9 @@ def _draw(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int | None
     total = weights.sum()
     if total <= floor:
         raise WeightError("family carries no weight to sample from")
-    rng = np.random.default_rng(seed)
-    return included, rng.choice(len(included), size=size, p=weights / total)
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return included, cdf, np.random.default_rng(seed).random(size)
 
 
 def sample_history(family: HistoryFamily, dynamics: Dynamics, seed: int,
@@ -344,17 +355,24 @@ def sample_history(family: HistoryFamily, dynamics: Dynamics, seed: int,
     Exactly one history of a family occurs; this picks it.  Returns a single
     label when size is None, else a list of labels.
     """
-    included, picks = _draw(family, dynamics, seed, size, tol_consistency, floor)
+    included, cdf, u = _draw(family, dynamics, seed, size, tol_consistency, floor)
+    picks = cdf.searchsorted(u, "right")
     labels = family.labels
     if size is None:
         return labels[included[int(picks)]]
-    return [labels[included[int(i)]] for i in picks]
+    return [labels[included[i]] for i in picks.tolist()]
 
 
 def sample_counts(family: HistoryFamily, dynamics: Dynamics, seed: int, size: int,
                   tol_consistency: float = TOL_CONSISTENCY,
                   floor: float = CONSISTENCY_FLOOR) -> np.ndarray:
     """How often each non-throwaway history (in `included_indices` order) is
-    drawn in `size` draws: the tally of `sample_history`'s draws for the seed."""
-    included, picks = _draw(family, dynamics, seed, size, tol_consistency, floor)
-    return np.bincount(picks, minlength=len(included))
+    drawn in `size` draws: the tally of `sample_history`'s draws for the seed.
+
+    Draw u lands on position i when cdf[i-1] <= u < cdf[i], so the draws
+    below cdf[i], counted in the sorted draws, are the draws on positions
+    0..i, and their differences are the tally.
+    """
+    _, cdf, u = _draw(family, dynamics, seed, size, tol_consistency, floor)
+    u.sort()
+    return np.diff(u.searchsorted(cdf, "left"), prepend=0)

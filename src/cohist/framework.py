@@ -26,10 +26,41 @@ from .operators import (
     TOL_ALG,
     TOL_PROB,
     Operator,
+    _fro,
     commutes,
     interval_projector,
     spin_projectors,
 )
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex stack (over the last two
+    axes, the last one contiguous)."""
+    parts = stack.view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+
+
+# Entries of P_i P_j computed at once by `_first_overlap`.
+_OVERLAP_BLOCK = 1 << 16
+
+
+def _first_overlap(stack: np.ndarray, tol: float) -> tuple[int, int, float] | None:
+    """First pair i < j, in row-major order, with ||P_i P_j|| > tol, and that
+    norm.  For a block of rows i, every product P_i P_j comes from one matmul
+    of the block's stacked rows with all elements side by side."""
+    k, d = stack.shape[:2]
+    side_by_side = stack.transpose(1, 0, 2).reshape(d, k * d)
+    rows = max(1, _OVERLAP_BLOCK // (k * d * d))
+    for i0 in range(0, k - 1, rows):
+        i1 = min(i0 + rows, k - 1)
+        products = (stack[i0:i1].reshape(-1, d) @ side_by_side).reshape(i1 - i0, d, k, d)
+        overlap = _norms(products.transpose(0, 2, 1, 3))
+        i, j = np.nonzero(overlap > tol)
+        above = np.flatnonzero(j > i + i0)
+        if above.size:
+            i, j = int(i[above[0]]), int(j[above[0]])
+            return i0 + i, j, float(overlap[i, j])
+    return None
 
 
 class ProjectiveDecomposition:
@@ -51,23 +82,29 @@ class ProjectiveDecomposition:
             raise ArgumentError(f"{len(labels)} labels for {len(projectors)} projectors")
         if len(set(labels)) != len(labels):
             raise ArgumentError(f"duplicate element labels in {labels}")
-        for i, p in enumerate(projectors):
-            if p.dim != dim:
-                raise DimError(f"element {i} has dim {p.dim}, expected {dim}")
-            if p.norm() <= tol:
-                raise NotProjectorError(f"element {i} ({labels[i]}) is the zero operator")
-            if not p.is_projector(tol):
-                raise NotProjectorError(f"element {i} ({labels[i]}) is not a projector")
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                overlap = float(np.linalg.norm(projectors[i].matrix @ projectors[j].matrix))
-                if overlap > tol:
-                    raise OrthogonalityError(
-                        f"elements {i} ({labels[i]}) and {j} ({labels[j]}) are not "
-                        f"orthogonal: ||P_i P_j|| = {overlap:.3e}"
-                    )
-        total = sum(p.matrix for p in projectors)
-        residual = float(np.linalg.norm(total - np.eye(dim)))
+        # Errors come in the order of one element at a time: its dim, then
+        # zero, then projector.  The elements before the first of another
+        # dim form one (k, d, d) stack.
+        k = next((i for i, p in enumerate(projectors) if p.dim != dim), len(projectors))
+        stack = np.stack([p.matrix for p in projectors[:k]])
+        norm, herm, idem = _norms(np.stack(
+            [stack, stack - stack.conj().transpose(0, 2, 1), stack @ stack - stack]))
+        zero = norm <= tol
+        bad = np.flatnonzero(zero | ~(np.maximum(herm, idem) <= tol))
+        if bad.size:
+            i = int(bad[0])
+            what = "the zero operator" if zero[i] else "not a projector"
+            raise NotProjectorError(f"element {i} ({labels[i]}) is {what}")
+        if k < len(projectors):
+            raise DimError(f"element {k} has dim {projectors[k].dim}, expected {dim}")
+        pair = _first_overlap(stack, tol)
+        if pair is not None:
+            i, j, overlap = pair
+            raise OrthogonalityError(
+                f"elements {i} ({labels[i]}) and {j} ({labels[j]}) are not "
+                f"orthogonal: ||P_i P_j|| = {overlap:.3e}"
+            )
+        residual = _fro(stack.sum(axis=0) - np.eye(dim))
         if residual > tol:
             raise CompletenessError(
                 f"projectors do not sum to the identity (completeness violated): "

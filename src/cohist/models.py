@@ -488,7 +488,7 @@ class LocalityExperiment:
     AB state stays fixed.  The family under study refers to A alone.
     """
 
-    __slots__ = ("initial_ab", "c_dim", "steps", "a_pds", "grid")
+    __slots__ = ("initial_ab", "c_dim", "steps", "a_pds", "grid", "_lifted")
 
     def __init__(self, initial_ab: Ket, c_dim: int,
                  steps: Sequence[tuple[Operator, Operator]],
@@ -537,6 +537,7 @@ class LocalityExperiment:
         self.steps = steps
         self.a_pds = a_pds
         self.grid = grid
+        self._lifted = None
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -556,8 +557,10 @@ class LocalityExperiment:
         dims = self.dims
         init = dyad(tensor(self.initial_ab, c_state))
         init = Operator(init.matrix, dims, flavor="projector")
-        lifted = [lift_pd(pd, dims, 0) for pd in self.a_pds]
-        return fixed_initial_family(self.grid, init, lifted, label="AB")
+        if self._lifted is None:
+            # The same for every C state: lifted on the first family only.
+            self._lifted = [lift_pd(pd, dims, 0) for pd in self.a_pds]
+        return fixed_initial_family(self.grid, init, self._lifted, label="AB")
 
 
 @dataclass

@@ -16,6 +16,8 @@ are convention-relative.
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,7 +51,7 @@ def _factor_dims(total: int, dims) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out or any(d < 1 for d in out):
         raise DimError(f"factor dimensions must be positive, got {out}")
-    if int(np.prod(out)) != int(total):
+    if math.prod(out) != int(total):
         raise DimError(f"factor dimensions {out} do not multiply to {total}")
     return out
 
@@ -74,7 +76,7 @@ class Ket:
         return self.amplitudes.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _fro(self.amplitudes)
 
     def is_normalized(self, tol: float = TOL_NORM) -> bool:
         return abs(self.norm() - 1.0) <= tol
@@ -113,24 +115,41 @@ def basis_ket(index: int, dims) -> Ket:
     return Ket(amp, dims)
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, summed as `np.linalg.norm` sums it (re.re + im.im over
+    the entries in memory order) without its argument handling."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.kron` of two matrices (or two vectors): the same broadcast
+    products, without its argument handling."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _check_flavor(matrix: np.ndarray, flavor: str, tol: float) -> None:
     if flavor == "projector":
-        herm = np.linalg.norm(matrix - matrix.conj().T)
-        idem = np.linalg.norm(matrix @ matrix - matrix)
+        herm = _fro(matrix - matrix.conj().T)
+        idem = _fro(matrix @ matrix - matrix)
         if not (herm <= tol and idem <= tol):
             raise NotProjectorError(
                 f"not a projector: ||P^2-P||={idem:.3e}, ||P-P^dag||={herm:.3e}"
             )
     elif flavor == "unitary":
-        dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))
+        dev = _fro(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))
         if not dev <= tol:
             raise FlavorError(f"not unitary: ||U^dag U - I||={dev:.3e}")
     elif flavor == "hermitian":
-        dev = np.linalg.norm(matrix - matrix.conj().T)
+        dev = _fro(matrix - matrix.conj().T)
         if not dev <= tol:
             raise FlavorError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
     elif flavor == "positive":
-        dev = np.linalg.norm(matrix - matrix.conj().T)
+        dev = _fro(matrix - matrix.conj().T)
         if not dev <= tol:
             raise FlavorError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
         lo = float(np.linalg.eigvalsh(matrix).min())
@@ -164,16 +183,21 @@ class Operator:
             _check_flavor(m, flavor, tol)
         self.flavor = flavor
 
+    # The identity and zero matrices are exact projectors: tagged unchecked.
     @classmethod
     def identity(cls, dims) -> "Operator":
         dims = (dims,) if isinstance(dims, int) else tuple(dims)
-        return cls(np.eye(int(np.prod(dims))), dims, flavor="projector")
+        op = cls(np.eye(int(math.prod(dims))), dims)
+        op.flavor = "projector"
+        return op
 
     @classmethod
     def zero(cls, dims) -> "Operator":
         dims = (dims,) if isinstance(dims, int) else tuple(dims)
-        d = int(np.prod(dims))
-        return cls(np.zeros((d, d)), dims, flavor="projector")
+        d = int(math.prod(dims))
+        op = cls(np.zeros((d, d)), dims)
+        op.flavor = "projector"
+        return op
 
     @property
     def dim(self) -> int:
@@ -187,23 +211,22 @@ class Operator:
         return complex(np.trace(self.matrix))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return _fro(self.matrix)
 
     def allclose(self, other: "Operator", tol: float = TOL_ALG) -> bool:
         self._check_same_dim(other)
-        return float(np.linalg.norm(self.matrix - other.matrix)) <= tol
+        return _fro(self.matrix - other.matrix) <= tol
 
     def is_projector(self, tol: float = TOL_ALG) -> bool:
         m = self.matrix
-        return (np.linalg.norm(m - m.conj().T) <= tol
-                and np.linalg.norm(m @ m - m) <= tol)
+        return _fro(m - m.conj().T) <= tol and _fro(m @ m - m) <= tol
 
     def is_unitary(self, tol: float = TOL_ALG) -> bool:
         m = self.matrix
-        return np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+        return _fro(m.conj().T @ m - np.eye(m.shape[0])) <= tol
 
     def is_hermitian(self, tol: float = TOL_ALG) -> bool:
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol
+        return _fro(self.matrix - self.matrix.conj().T) <= tol
 
     def is_positive(self, tol: float = TOL_ALG) -> bool:
         if not self.is_hermitian(tol):
@@ -305,14 +328,14 @@ def tensor(*parts):
         amp = parts[0].amplitudes
         dims: tuple[int, ...] = parts[0].dims
         for p in parts[1:]:
-            amp = np.kron(amp, p.amplitudes)
+            amp = _kron(amp, p.amplitudes)
             dims = dims + p.dims
         return Ket(amp, dims)
     if all(isinstance(p, Operator) for p in parts):
         m = parts[0].matrix
         dims = parts[0].dims
         for p in parts[1:]:
-            m = np.kron(m, p.matrix)
+            m = _kron(m, p.matrix)
             dims = dims + p.dims
         flavors = {p.flavor for p in parts}
         flavor = flavors.pop() if len(flavors) == 1 and None not in flavors else None
@@ -323,16 +346,24 @@ def tensor(*parts):
 
 
 def embed(op: Operator, dims, slot: int) -> Operator:
-    """Extend an operator acting on factor `slot` by identities on the rest."""
+    """Extend an operator acting on factor `slot` by identities on the rest.
+
+    The result is `tensor` of the identities and `op`: the same products, and
+    the flavor `tensor` gives (`op`'s own when there is one factor, else
+    "projector" for a projector and none otherwise).  `op`'s flavor is checked
+    at the default tolerance first, then the result's.
+    """
     dims = tuple(int(d) for d in dims)
     if not 0 <= slot < len(dims):
         raise DimError(f"slot {slot} out of range for factors {dims}")
     if op.dim != dims[slot]:
         raise DimError(f"operator dim {op.dim} does not match factor dim {dims[slot]}")
-    parts = [Operator.identity(d) for d in dims]
-    parts[slot] = Operator(op.matrix, (dims[slot],), flavor=op.flavor)
-    out = tensor(*parts)
-    return Operator(out.matrix, dims, flavor=out.flavor)
+    parts = [Operator.identity(d).matrix for d in dims]
+    parts[slot] = op.matrix
+    if op.flavor is not None:
+        _check_flavor(op.matrix, op.flavor, TOL_ALG)
+    flavor = op.flavor if len(dims) == 1 or op.flavor == "projector" else None
+    return Operator(reduce(_kron, parts), dims, flavor=flavor)
 
 
 def partial_trace(op: Operator, keep) -> Operator:

@@ -6,7 +6,15 @@ import re
 
 import numpy as np
 
-from cohist import Ket, Operator, make_pd
+from cohist import (
+    CompletenessError,
+    DimError,
+    Ket,
+    NotProjectorError,
+    Operator,
+    OrthogonalityError,
+    make_pd,
+)
 
 
 def random_unitary(rng, d):
@@ -174,3 +182,64 @@ def human_line(machine_line):
 
     key, *fields = machine_line.split(" ")
     return " ".join([key] + [shorten(f, key == "row") for f in fields])
+
+
+# Operator and decomposition checks as they were written before they were
+# batched: np.kron chains, np.linalg.norm and one loop step per element and
+# per pair.  They pin the faster code bit for bit (products, norms) or by
+# error class and message (checks).
+
+def linalg_norm(x):
+    """The Frobenius norm as np.linalg.norm computes it."""
+    return float(np.linalg.norm(x))
+
+
+def kron_tensor(*parts):
+    """`tensor` of operators or kets by a chain of np.kron calls."""
+    if isinstance(parts[0], Ket):
+        amp = parts[0].amplitudes
+        for p in parts[1:]:
+            amp = np.kron(amp, p.amplitudes)
+        return Ket(amp, sum((p.dims for p in parts), ()))
+    m = parts[0].matrix
+    for p in parts[1:]:
+        m = np.kron(m, p.matrix)
+    flavors = {p.flavor for p in parts}
+    flavor = flavors.pop() if len(flavors) == 1 and None not in flavors else None
+    return Operator(m, sum((p.dims for p in parts), ()), flavor=flavor)
+
+
+def kron_embed(op, dims, slot):
+    """`embed` as the np.kron product of a flavor-checked identity per factor
+    and a flavor-checked copy of `op`, checked again as a whole."""
+    dims = tuple(int(d) for d in dims)
+    parts = [Operator(np.eye(d), (d,), flavor="projector") for d in dims]
+    parts[slot] = Operator(op.matrix, (dims[slot],), flavor=op.flavor)
+    out = parts[0] if len(parts) == 1 else kron_tensor(*parts)
+    return Operator(out.matrix, dims, flavor=out.flavor)
+
+
+def loop_pd_check(projectors, labels, tol=1e-10):
+    """Raise what `ProjectiveDecomposition` raises for these elements (with
+    distinct labels), checking one element and then one pair at a time."""
+    dim = projectors[0].dim
+    for i, p in enumerate(projectors):
+        if p.dim != dim:
+            raise DimError(f"element {i} has dim {p.dim}, expected {dim}")
+        if linalg_norm(p.matrix) <= tol:
+            raise NotProjectorError(f"element {i} ({labels[i]}) is the zero operator")
+        m = p.matrix
+        if not (linalg_norm(m - m.conj().T) <= tol and linalg_norm(m @ m - m) <= tol):
+            raise NotProjectorError(f"element {i} ({labels[i]}) is not a projector")
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            overlap = linalg_norm(projectors[i].matrix @ projectors[j].matrix)
+            if overlap > tol:
+                raise OrthogonalityError(
+                    f"elements {i} ({labels[i]}) and {j} ({labels[j]}) are not "
+                    f"orthogonal: ||P_i P_j|| = {overlap:.3e}")
+    residual = linalg_norm(sum(p.matrix for p in projectors) - np.eye(dim))
+    if residual > tol:
+        raise CompletenessError(
+            f"projectors do not sum to the identity (completeness violated): "
+            f"||sum - I|| = {residual:.3e}")

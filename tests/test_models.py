@@ -1,5 +1,7 @@
 """Measurement/preparation models, POVM extraction, locality, singlet tables."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cohist import (
     build_measurement,
     contextual_analysis,
     contextual_preparation,
+    decoherence_functional,
     einstein_locality_check,
     lift_pd,
     make_pd,
@@ -298,6 +301,31 @@ class TestLocality:
             report = einstein_locality_check(exp, c_states)
             assert len(set(report.verdicts)) == 1
             assert report.passed
+
+    @pytest.mark.parametrize("n_cstates", [1, 2, 5])
+    def test_lifts_once_and_matches_lifting_per_c_state(self, n_cstates):
+        rng = np.random.default_rng(151)
+        exp = make_experiment(rng, d_c=3)
+        c_states = [random_ket(rng, 3) for _ in range(n_cstates)]
+        with patch("cohist.models.lift_pd", wraps=lift_pd) as lift:
+            report = einstein_locality_check(exp, c_states)
+        assert lift.call_count == len(exp.a_pds)
+        # Each C state's family from decompositions lifted for it alone.
+        dyn = exp.dynamics()
+        probs, offdiags = [], []
+        for c_state in c_states:
+            fresh = LocalityExperiment(exp.initial_ab, exp.c_dim, exp.steps, exp.a_pds,
+                                       exp.grid)
+            want = decoherence_functional(fresh.family(c_state), dyn)
+            probs.append(want.probabilities())
+            offdiags.append(np.abs(want.matrix) - np.diag(np.abs(want.weights)))
+        for got, want in zip(report.probabilities + report.offdiag_matrices,
+                             probs + offdiags):
+            assert got.tobytes() == want.tobytes()
+        assert report.max_probability_deviation == max(
+            [0.0] + [float(np.max(np.abs(p - probs[0]))) for p in probs[1:]])
+        assert report.max_residual_deviation == max(
+            [0.0] + [float(np.max(np.abs(m - offdiags[0]))) for m in offdiags[1:]])
 
     def test_nonfactorized_totals_rejected(self):
         # a CNOT from A to B does not factor as T_A (x) T_BC
