@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of the benchmark's reports, to compare two checkouts.
+"""SHA-256 digests of the benchmark's inputs and reports, to compare two checkouts.
 
     python3 scripts/report_digest.py [CHECKOUT]
 
-Runs `cohist.cli.run_text` of CHECKOUT (default: this repository) in machine
-and human mode on the scenario texts that `perfbench/workloads.py` of the
-same checkout builds: raw-dense seeds 1, 2, 3 and 5, wide-consistent seed 1
-and the ten demos.  Prints one `digest exit-status workload seed-or-name
-mode` line per report.  To check that a change keeps every report
-byte-identical, run it on both checkouts and compare:
+Takes the scenario texts that `perfbench/workloads.py` of CHECKOUT (default:
+this repository) builds: raw-dense seeds 1, 2, 3 and 5, wide-consistent
+seed 1 and the ten demos.  Prints one `digest - workload seed-or-name input`
+line per text, then runs `cohist.cli.run_text` of the same checkout on each
+text in machine and human mode and prints one `digest exit-status workload
+seed-or-name mode` line per report.  To check that a change keeps every
+scenario text (`demo_text` among them) and every report byte-identical, run
+it on both checkouts and compare:
 
     python3 scripts/report_digest.py /path/to/parent > parent.txt
     python3 scripts/report_digest.py > change.txt
@@ -37,6 +39,9 @@ def main(argv: list[str]) -> int:
     cases = [(workload, str(seed), case.text) for workload, seed in RUNS
              for case in workloads.setup(workload, seed)[1]]
     cases += sorted(("demo", case.name, case.text) for case in demos)
+    for workload, which, text in cases:
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{digest} - {workload} {which} input", flush=True)
     for workload, which, text in cases:
         for mode, machine in (("machine", True), ("human", False)):
             report, status = cli.run_text(text, machine=machine)

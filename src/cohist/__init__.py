@@ -64,7 +64,6 @@ from .framework import (
 from .histories import (
     History,
     HistoryFamily,
-    HistorySpace,
     TimeGrid,
     family_compatible,
     family_of,
@@ -74,7 +73,6 @@ from .histories import (
     unitary_family,
 )
 from .dynamics import (
-    ChainOperator,
     ConsistencyReport,
     Dynamics,
     born_weight,

@@ -263,8 +263,8 @@ def execute(scenario: Scenario, env: Environment,
     records: list[Record] = []
     status = 0
     for i, bound in enumerate(env.queries, start=1):
-        rec = Record(i, bound.kind)
-        runner, echoed = RUNNERS[bound.kind]
+        rec = Record(i, bound.decl.kind)
+        runner, echoed = RUNNERS[bound.decl.kind]
         for key, value in bound.decl.args:
             if key in echoed:
                 rec.add(key, value)

@@ -1,9 +1,11 @@
 """Built-in demo scenarios.
 
-Each demo is generated as a scenario document from deterministic
+Each demo is a scenario document written as grammar lines from deterministic
 ingredients, so running it twice (same seed) produces byte-identical
 machine-mode reports.  Interaction unitaries that are awkward to write by
-hand are computed by the model builders and embedded as literal matrices.
+hand are computed by the model builders, and every computed number is
+written by `scenario.format_complex`, so each line is already in the form
+that `serialize` gives it.
 """
 
 from __future__ import annotations
@@ -12,38 +14,17 @@ import numpy as np
 
 from .models import build_measurement, contextual_preparation
 from .operators import Ket
-from .scenario import (
-    DynamicsDecl,
-    FamilyDecl,
-    GridDecl,
-    LocalityHeadDecl,
-    LocalityStateDecl,
-    LocalityStepDecl,
-    OperatorDecl,
-    PdDecl,
-    QueryDecl,
-    Scenario,
-    StateDecl,
-    SystemDecl,
-    serialize,
-)
+from .scenario import format_complex
 
 _R = 1.0 / np.sqrt(2.0)
 
 
-def _op_matrix(name: str, system: str, matrix) -> OperatorDecl:
-    rows = tuple(tuple(complex(z) for z in row)
-                 for row in np.asarray(matrix, dtype=complex))
-    return OperatorDecl(name, system, "matrix", rows=rows)
+def _amps(*amps) -> str:
+    return " ".join(map(format_complex, amps))
 
 
-def _state(name: str, system: str, amps) -> StateDecl:
-    return StateDecl(name, system, "amps",
-                     amps=tuple(complex(a) for a in np.asarray(amps, dtype=complex)))
-
-
-def _q(kind: str, *pairs: tuple[str, str]) -> QueryDecl:
-    return QueryDecl(kind, tuple(pairs))
+def _matrix(matrix) -> str:
+    return " ; ".join(_amps(*row) for row in np.asarray(matrix, dtype=complex))
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -51,276 +32,226 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def stern_gerlach() -> Scenario:
-    stmts = (
-        SystemDecl("spin", dim=2),
-        _state("xplus", "spin", [_R, _R]),
-        OperatorDecl("pxp", "spin", "dyad", state="xplus"),
-        PdDecl("z", "spin", "spin", axis="z"),
-        PdDecl("x", "spin", "spin", axis="x"),
-        GridDecl("g", (0.0, 1.0)),
-        DynamicsDecl("free", "spin", "g", "trivial"),
-        FamilyDecl("f", "spin", "g", "fixed", initial="pxp", pds=("z",)),
-        _q("compatibility", ("pds", "z x")),
-        _q("compatibility", ("pds", "z z")),
-        _q("refinement", ("fine", "z"), ("coarse", "z")),
-        _q("consistency", ("family", "f"), ("dynamics", "free")),
-        _q("probability", ("family", "f"), ("dynamics", "free"), ("where", "1=z+")),
-        _q("probability", ("family", "f"), ("dynamics", "free"), ("where", "1=z-")),
-    )
-    return Scenario("stern-gerlach", stmts)
+def stern_gerlach() -> str:
+    return f"""\
+system spin dim 2
+state xplus system spin amps {_amps(_R, _R)}
+operator pxp system spin dyad xplus
+pd z system spin spin z
+pd x system spin spin x
+grid g times 0 1
+dynamics free system spin grid g trivial
+family f system spin grid g fixed pxp z
+query compatibility pds z x
+query compatibility pds z z
+query refinement fine z coarse z
+query consistency family f dynamics free
+query probability family f dynamics free where 1=z+
+query probability family f dynamics free where 1=z-
+"""
 
 
-def measurement() -> Scenario:
-    model = build_measurement(2, "destructive")
-    stmts = (
-        SystemDecl("s", dim=2),
-        SystemDecl("m", dim=4),
-        SystemDecl("sm", factors=("s", "m")),
-        _state("psi0", "s", [0.6, 0.8]),
-        StateDecl("m0", "m", "basis", index=0),
-        StateDecl("m1ptr", "m", "basis", index=2),
-        StateDecl("m2ptr", "m", "basis", index=3),
-        StateDecl("init", "sm", "tensor", parts=("psi0", "m0")),
-        _op_matrix("u1", "sm", model.u_first.matrix),
-        _op_matrix("u2", "sm", model.u_second.matrix),
-        OperatorDecl("P1", "m", "dyad", state="m1ptr"),
-        OperatorDecl("P2", "m", "dyad", state="m2ptr"),
-        _op_matrix("Prest", "m", np.diag([1.0, 1.0, 0.0, 0.0])),
-        PdDecl("sbasis", "s", "basis"),
-        PdDecl("pointer", "m", "projectors", members=("P1", "P2", "Prest")),
-        PdDecl("slift", "sm", "lift", inner="sbasis", slot=0),
-        PdDecl("plift", "sm", "lift", inner="pointer", slot=1),
-        GridDecl("g", (0.0, 1.0, 2.0)),
-        DynamicsDecl("meas", "sm", "g", "unitaries", ops=("u1", "u2")),
-        FamilyDecl("fam", "sm", "g", "fixed", initial="init",
-                   pds=("slift", "plift")),
-        _q("consistency", ("family", "fam"), ("dynamics", "meas")),
-        _q("probability", ("family", "fam"), ("dynamics", "meas"),
-           ("where", "2=P1")),
-        _q("probability", ("family", "fam"), ("dynamics", "meas"),
-           ("where", "2=P2")),
-        _q("conditional", ("family", "fam"), ("dynamics", "meas"),
-           ("where", "1=0"), ("given", "2=P1")),
-        _q("conditional", ("family", "fam"), ("dynamics", "meas"),
-           ("where", "1=1"), ("given", "2=P2")),
-        _q("conditional", ("family", "fam"), ("dynamics", "meas"),
-           ("where", "1=1"), ("given", "2=P1")),
-    )
-    return Scenario("measurement", stmts)
+def _pointer_model(kind: str, psi0: str) -> str:
+    """System s in state `psi0` and a four-level pointer m, coupled by the
+    two unitaries of `build_measurement(2, kind)`; the pointer pd."""
+    model = build_measurement(2, kind)
+    return f"""\
+system s dim 2
+system m dim 4
+system sm factors s m
+state psi0 system s amps {psi0}
+state m0 system m basis 0
+state m1ptr system m basis 2
+state m2ptr system m basis 3
+state init system sm tensor psi0 m0
+operator u1 system sm matrix {_matrix(model.u_first.matrix)}
+operator u2 system sm matrix {_matrix(model.u_second.matrix)}
+operator P1 system m dyad m1ptr
+operator P2 system m dyad m2ptr
+operator Prest system m matrix {_matrix(np.diag([1.0, 1.0, 0.0, 0.0]))}
+pd sbasis system s basis
+pd pointer system m projectors P1 P2 Prest
+"""
 
 
-def preparation() -> Scenario:
-    model = build_measurement(2, "vonNeumann")
-    stmts = (
-        SystemDecl("s", dim=2),
-        SystemDecl("m", dim=4),
-        SystemDecl("sm", factors=("s", "m")),
-        _state("psi0", "s", [_R, _R]),
-        StateDecl("m0", "m", "basis", index=0),
-        StateDecl("m1ptr", "m", "basis", index=2),
-        StateDecl("m2ptr", "m", "basis", index=3),
-        StateDecl("init", "sm", "tensor", parts=("psi0", "m0")),
-        _op_matrix("u1", "sm", model.u_first.matrix),
-        _op_matrix("u2", "sm", model.u_second.matrix),
-        OperatorDecl("P1", "m", "dyad", state="m1ptr"),
-        OperatorDecl("P2", "m", "dyad", state="m2ptr"),
-        _op_matrix("Prest", "m", np.diag([1.0, 1.0, 0.0, 0.0])),
-        PdDecl("sbasis", "s", "basis"),
-        PdDecl("pointer", "m", "projectors", members=("P1", "P2", "Prest")),
-        PdDecl("triv", "sm", "trivial"),
-        PdDecl("joint", "sm", "tensor", members=("sbasis", "pointer")),
-        GridDecl("g", (0.0, 1.0, 2.0)),
-        DynamicsDecl("prep", "sm", "g", "unitaries", ops=("u1", "u2")),
-        FamilyDecl("fam", "sm", "g", "fixed", initial="init",
-                   pds=("triv", "joint")),
-        _q("consistency", ("family", "fam"), ("dynamics", "prep")),
-        _q("probability", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "2=0&P1")),
-        _q("probability", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "2=1&P2")),
-        _q("probability", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "2=0&P2")),
-        _q("conditional", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "2=0&P1"), ("given", "2=0&P1,1&P1")),
-        _q("conditional", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "2=1&P2"), ("given", "2=1&P2,0&P2")),
-    )
-    return Scenario("preparation", stmts)
+def measurement() -> str:
+    return _pointer_model("destructive", _amps(0.6, 0.8)) + """\
+pd slift system sm lift sbasis slot 0
+pd plift system sm lift pointer slot 1
+grid g times 0 1 2
+dynamics meas system sm grid g unitaries u1 u2
+family fam system sm grid g fixed init slift plift
+query consistency family fam dynamics meas
+query probability family fam dynamics meas where 2=P1
+query probability family fam dynamics meas where 2=P2
+query conditional family fam dynamics meas where 1=0 given 2=P1
+query conditional family fam dynamics meas where 1=1 given 2=P2
+query conditional family fam dynamics meas where 1=1 given 2=P1
+"""
 
 
-def contextual() -> Scenario:
-    r1 = Ket([1.0, 0.0])
-    r2 = Ket([0.6, 0.8])
-    prep = contextual_preparation([r1, r2], [0.6, 0.8])
-    pd = prep.outcome_pd()
+def preparation() -> str:
+    return _pointer_model("vonNeumann", _amps(_R, _R)) + """\
+pd triv system sm trivial
+pd joint system sm tensor sbasis pointer
+grid g times 0 1 2
+dynamics prep system sm grid g unitaries u1 u2
+family fam system sm grid g fixed init triv joint
+query consistency family fam dynamics prep
+query probability family fam dynamics prep where 2=0&P1
+query probability family fam dynamics prep where 2=1&P2
+query probability family fam dynamics prep where 2=0&P2
+query conditional family fam dynamics prep where 2=0&P1 given 2=0&P1,1&P1
+query conditional family fam dynamics prep where 2=1&P2 given 2=1&P2,0&P2
+"""
+
+
+def contextual() -> str:
+    prep = contextual_preparation([Ket([1.0, 0.0]), Ket([0.6, 0.8])], [0.6, 0.8])
     op_names = ("r1P1", "nr1P1", "r2P2", "nr2P2", "Prest")
-    op_decls = tuple(
-        _op_matrix(name, "sm", proj.matrix)
-        for name, proj in zip(op_names, pd.projectors)
-    )
-    stmts = (
-        SystemDecl("s", dim=2),
-        SystemDecl("m", dim=4),
-        SystemDecl("sm", factors=("s", "m")),
-        StateDecl("s0", "s", "basis", index=0),
-        StateDecl("m0", "m", "basis", index=0),
-        StateDecl("init", "sm", "tensor", parts=("s0", "m0")),
-        _op_matrix("u", "sm", prep.unitary.matrix),
-    ) + op_decls + (
-        PdDecl("outcome", "sm", "projectors", members=op_names),
-        GridDecl("g", (0.0, 1.0)),
-        DynamicsDecl("prep", "sm", "g", "unitaries", ops=("u",)),
-        FamilyDecl("fam", "sm", "g", "fixed", initial="init", pds=("outcome",)),
-        _q("consistency", ("family", "fam"), ("dynamics", "prep")),
-        _q("probability", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "1=r1P1")),
-        _q("probability", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "1=r2P2")),
-        _q("conditional", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "1=r1P1"), ("given", "1=r1P1,nr1P1")),
-        _q("conditional", ("family", "fam"), ("dynamics", "prep"),
-           ("where", "1=r2P2"), ("given", "1=r2P2,nr2P2")),
-    )
-    return Scenario("contextual-preparation", stmts)
+    ops = "".join(f"operator {name} system sm matrix {_matrix(proj.matrix)}\n"
+                  for name, proj in zip(op_names, prep.outcome_pd().projectors))
+    return f"""\
+system s dim 2
+system m dim 4
+system sm factors s m
+state s0 system s basis 0
+state m0 system m basis 0
+state init system sm tensor s0 m0
+operator u system sm matrix {_matrix(prep.unitary.matrix)}
+{ops}pd outcome system sm projectors {" ".join(op_names)}
+grid g times 0 1
+dynamics prep system sm grid g unitaries u
+family fam system sm grid g fixed init outcome
+query consistency family fam dynamics prep
+query probability family fam dynamics prep where 1=r1P1
+query probability family fam dynamics prep where 1=r2P2
+query conditional family fam dynamics prep where 1=r1P1 given 1=r1P1,nr1P1
+query conditional family fam dynamics prep where 1=r2P2 given 1=r2P2,nr2P2
+"""
 
 
-def povm() -> Scenario:
-    stmts = (
-        SystemDecl("s", dim=2),
-        SystemDecl("a", dim=2),
-        SystemDecl("sa", factors=("s", "a")),
-        _state("b1", "sa", [_R, 0.0, 0.0, _R]),
-        _state("b2", "sa", [_R, 0.0, 0.0, -_R]),
-        _state("b3", "sa", [0.0, _R, _R, 0.0]),
-        _state("b4", "sa", [0.0, _R, -_R, 0.0]),
-        _state("a0", "a", [0.8, 0.6j]),
-        PdDecl("bell", "sa", "dyads", members=("b1", "b2", "b3", "b4")),
-        _q("povm", ("pd", "bell"), ("state", "a0"), ("ancilla", "1")),
-    )
-    return Scenario("povm", stmts)
+def povm() -> str:
+    return f"""\
+system s dim 2
+system a dim 2
+system sa factors s a
+state b1 system sa amps {_amps(_R, 0.0, 0.0, _R)}
+state b2 system sa amps {_amps(_R, 0.0, 0.0, -_R)}
+state b3 system sa amps {_amps(0.0, _R, _R, 0.0)}
+state b4 system sa amps {_amps(0.0, _R, -_R, 0.0)}
+state a0 system a amps {_amps(0.8, 0.6j)}
+pd bell system sa dyads b1 b2 b3 b4
+query povm pd bell state a0 ancilla 1
+"""
 
 
-def singlet_demo() -> Scenario:
-    stmts = (
-        SystemDecl("a", dim=2),
-        SystemDecl("b", dim=2),
-        SystemDecl("pair", factors=("a", "b")),
-        StateDecl("psi", "pair", "singlet"),
-        OperatorDecl("ppsi", "pair", "dyad", state="psi"),
-        PdDecl("za", "a", "spin", axis="z"),
-        PdDecl("zb", "b", "spin", axis="z"),
-        PdDecl("xb", "b", "spin", axis="x"),
-        PdDecl("zz", "pair", "tensor", members=("za", "zb")),
-        PdDecl("zx", "pair", "tensor", members=("za", "xb")),
-        GridDecl("g", (0.0, 1.0)),
-        DynamicsDecl("free", "pair", "g", "trivial"),
-        FamilyDecl("fzz", "pair", "g", "fixed", initial="ppsi", pds=("zz",)),
-        FamilyDecl("fzx", "pair", "g", "fixed", initial="ppsi", pds=("zx",)),
-        _q("compatibility", ("pds", "zz zx")),
-        _q("consistency", ("family", "fzz"), ("dynamics", "free")),
-        _q("conditional", ("family", "fzz"), ("dynamics", "free"),
-           ("where", "1=z+&z-"), ("given", "1=z+&z+,z+&z-")),
-        _q("conditional", ("family", "fzz"), ("dynamics", "free"),
-           ("where", "1=z-&z+"), ("given", "1=z-&z+,z-&z-")),
-        _q("conditional", ("family", "fzx"), ("dynamics", "free"),
-           ("where", "1=z+&x+"), ("given", "1=z+&x+,z+&x-")),
-    )
-    return Scenario("singlet", stmts)
+def singlet_demo() -> str:
+    return """\
+system a dim 2
+system b dim 2
+system pair factors a b
+state psi system pair singlet
+operator ppsi system pair dyad psi
+pd za system a spin z
+pd zb system b spin z
+pd xb system b spin x
+pd zz system pair tensor za zb
+pd zx system pair tensor za xb
+grid g times 0 1
+dynamics free system pair grid g trivial
+family fzz system pair grid g fixed ppsi zz
+family fzx system pair grid g fixed ppsi zx
+query compatibility pds zz zx
+query consistency family fzz dynamics free
+query conditional family fzz dynamics free where 1=z+&z- given 1=z+&z+,z+&z-
+query conditional family fzz dynamics free where 1=z-&z+ given 1=z-&z+,z-&z-
+query conditional family fzx dynamics free where 1=z+&x+ given 1=z+&x+,z+&x-
+"""
 
 
-def locality() -> Scenario:
+def locality() -> str:
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) * _R
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                     dtype=float)
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     tbc1 = cnot @ np.kron(h, np.eye(2))
     tbc2 = cz @ np.kron(np.eye(2), h)
-    stmts = (
-        SystemDecl("a", dim=2),
-        SystemDecl("b", dim=2),
-        SystemDecl("c", dim=2),
-        SystemDecl("ab", factors=("a", "b")),
-        SystemDecl("bc", factors=("b", "c")),
-        StateDecl("phi0", "ab", "singlet"),
-        _state("c1", "c", [1.0, 0.0]),
-        _state("c2", "c", [0.6, 0.8j]),
-        _state("c3", "c", [_R, -_R]),
-        _op_matrix("ta1", "a", _rotation(0.35)),
-        _op_matrix("ta2", "a", _rotation(0.9)),
-        _op_matrix("tbc1", "bc", tbc1),
-        _op_matrix("tbc2", "bc", tbc2),
-        PdDecl("za", "a", "spin", axis="z"),
-        PdDecl("xa", "a", "spin", axis="x"),
-        GridDecl("g", (0.0, 1.0, 2.0)),
-        LocalityHeadDecl("L", "a", "b", "c", "g", "phi0", ("za", "xa")),
-        LocalityStepDecl("L", "ta1", "tbc1"),
-        LocalityStepDecl("L", "ta2", "tbc2"),
-        LocalityStateDecl("L", "c1"),
-        LocalityStateDecl("L", "c2"),
-        LocalityStateDecl("L", "c3"),
-        _q("locality", ("locality", "L")),
-    )
-    return Scenario("locality", stmts)
+    return f"""\
+system a dim 2
+system b dim 2
+system c dim 2
+system ab factors a b
+system bc factors b c
+state phi0 system ab singlet
+state c1 system c amps {_amps(1.0, 0.0)}
+state c2 system c amps {_amps(0.6, 0.8j)}
+state c3 system c amps {_amps(_R, -_R)}
+operator ta1 system a matrix {_matrix(_rotation(0.35))}
+operator ta2 system a matrix {_matrix(_rotation(0.9))}
+operator tbc1 system bc matrix {_matrix(tbc1)}
+operator tbc2 system bc matrix {_matrix(tbc2)}
+pd za system a spin z
+pd xa system a spin x
+grid g times 0 1 2
+locality L systems a b c grid g initial phi0 pds za xa
+locality L step ta1 tbc1
+locality L step ta2 tbc2
+locality L cstate c1
+locality L cstate c2
+locality L cstate c3
+query locality locality L
+"""
 
 
-def unitary_family_demo() -> Scenario:
-    stmts = (
-        SystemDecl("spin", dim=2),
-        StateDecl("up", "spin", "basis", index=0),
-        _op_matrix("rot", "spin", _rotation(0.3 * np.pi)),
-        GridDecl("g", (0.0, 1.0, 2.0)),
-        DynamicsDecl("dyn", "spin", "g", "unitaries", ops=("rot", "rot")),
-        FamilyDecl("fam", "spin", "g", "unitary", state="up", dynamics="dyn"),
-        _q("consistency", ("family", "fam"), ("dynamics", "dyn")),
-        _q("probability", ("family", "fam"), ("dynamics", "dyn"),
-           ("where", "0=psi 1=psi 2=psi")),
-        _q("sample", ("family", "fam"), ("dynamics", "dyn"),
-           ("count", "5"), ("seed", "7")),
-    )
-    return Scenario("unitary-family", stmts)
+def unitary_family_demo() -> str:
+    return f"""\
+system spin dim 2
+state up system spin basis 0
+operator rot system spin matrix {_matrix(_rotation(0.3 * np.pi))}
+grid g times 0 1 2
+dynamics dyn system spin grid g unitaries rot rot
+family fam system spin grid g unitary up dyn
+query consistency family fam dynamics dyn
+query probability family fam dynamics dyn where 0=psi 1=psi 2=psi
+query sample family fam dynamics dyn count 5 seed 7
+"""
 
 
-def inconsistent_triple() -> Scenario:
-    stmts = (
-        SystemDecl("spin", dim=2),
-        _state("xplus", "spin", [_R, _R]),
-        OperatorDecl("pxp", "spin", "dyad", state="xplus"),
-        PdDecl("z", "spin", "spin", axis="z"),
-        PdDecl("x", "spin", "spin", axis="x"),
-        GridDecl("g", (0.0, 1.0, 2.0)),
-        DynamicsDecl("free", "spin", "g", "trivial"),
-        FamilyDecl("trip", "spin", "g", "fixed", initial="pxp", pds=("z", "x")),
-        _q("consistency", ("family", "trip"), ("dynamics", "free")),
-        _q("probability", ("family", "trip"), ("dynamics", "free"),
-           ("where", "2=x+")),
-        _q("conditional", ("family", "trip"), ("dynamics", "free"),
-           ("where", "1=z+"), ("given", "2=x+")),
-        _q("compatibility", ("pds", "z x")),
-    )
-    return Scenario("inconsistent-triple", stmts)
+def inconsistent_triple() -> str:
+    return f"""\
+system spin dim 2
+state xplus system spin amps {_amps(_R, _R)}
+operator pxp system spin dyad xplus
+pd z system spin spin z
+pd x system spin spin x
+grid g times 0 1 2
+dynamics free system spin grid g trivial
+family trip system spin grid g fixed pxp z x
+query consistency family trip dynamics free
+query probability family trip dynamics free where 2=x+
+query conditional family trip dynamics free where 1=z+ given 2=x+
+query compatibility pds z x
+"""
 
 
-def three_toss() -> Scenario:
-    stmts = (
-        SystemDecl("q", dim=2),
-        SystemDecl("qqq", factors=("q", "q", "q")),
-        StateDecl("up", "q", "basis", index=0),
-        StateDecl("init", "qqq", "tensor", parts=("up", "up", "up")),
-        _op_matrix("r", "q", _rotation(np.pi / 4.0)),
-        OperatorDecl("rrr", "qqq", "tensor", parts=("r", "r", "r")),
-        PdDecl("zq", "q", "spin", axis="z"),
-        PdDecl("zzz", "qqq", "tensor", members=("zq", "zq", "zq")),
-        GridDecl("g", (0.0, 1.0)),
-        DynamicsDecl("toss", "qqq", "g", "unitaries", ops=("rrr",)),
-        FamilyDecl("fam", "qqq", "g", "fixed", initial="init", pds=("zzz",)),
-        _q("consistency", ("family", "fam"), ("dynamics", "toss")),
-        _q("probability", ("family", "fam"), ("dynamics", "toss"),
-           ("where", "1=z+&z+&z+")),
-        _q("sample", ("family", "fam"), ("dynamics", "toss"),
-           ("count", "100000"), ("seed", "20260810")),
-    )
-    return Scenario("three-toss", stmts)
+def three_toss() -> str:
+    return f"""\
+system q dim 2
+system qqq factors q q q
+state up system q basis 0
+state init system qqq tensor up up up
+operator r system q matrix {_matrix(_rotation(np.pi / 4.0))}
+operator rrr system qqq tensor r r r
+pd zq system q spin z
+pd zzz system qqq tensor zq zq zq
+grid g times 0 1
+dynamics toss system qqq grid g unitaries rrr
+family fam system qqq grid g fixed init zzz
+query consistency family fam dynamics toss
+query probability family fam dynamics toss where 1=z+&z+&z+
+query sample family fam dynamics toss count 100000 seed 20260810
+"""
 
 
 DEMOS: dict[str, tuple[str, callable]] = {
@@ -361,12 +292,6 @@ def list_demos() -> list[tuple[str, str]]:
     return [(name, desc) for name, (desc, _) in DEMOS.items()]
 
 
-def demo_scenario(name: str) -> Scenario:
-    desc_builder = DEMOS.get(name)
-    if desc_builder is None:
-        raise KeyError(name)
-    return desc_builder[1]()
-
-
 def demo_text(name: str) -> str:
-    return serialize(demo_scenario(name))
+    """The scenario text of the demo `name`; KeyError when there is none."""
+    return f"scenario {name}\n" + DEMOS[name][1]()

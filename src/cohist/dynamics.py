@@ -114,14 +114,6 @@ class Dynamics:
         return f"Dynamics(times={self.grid.n_times}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class ChainOperator:
-    """Chain operator of one history; not in general a projector."""
-
-    value: Operator
-    label: tuple[str, ...]
-
-
 def _chains(family: HistoryFamily, dynamics: Dynamics) -> np.ndarray:
     """Chain operators of all histories as one (n, d, d) array.
 
@@ -136,13 +128,14 @@ def _chains(family: HistoryFamily, dynamics: Dynamics) -> np.ndarray:
     return k
 
 
-def chain_operator(history: History, dynamics: Dynamics) -> ChainOperator:
-    """F_f T(t_f, t_{f-1}) ... F_1 T(t_1, t_0) F_0 for the given history."""
+def chain_operator(history: History, dynamics: Dynamics) -> Operator:
+    """F_f T(t_f, t_{f-1}) ... F_1 T(t_1, t_0) F_0 for the given history; not
+    in general a projector."""
     if history.dims != dynamics.dims:
         raise DimError(f"history dims {history.dims} do not match dynamics dims "
                        f"{dynamics.dims}")
     chain = _chains(family_of(dynamics.grid, [history]), dynamics)[0]
-    return ChainOperator(Operator(chain, history.dims), history.label)
+    return Operator(chain, history.dims)
 
 
 @dataclass

@@ -86,32 +86,6 @@ class TimeGrid:
         return f"TimeGrid({self.times})"
 
 
-class HistorySpace:
-    """Bookkeeping for the tensor product of per-time copies of one space."""
-
-    __slots__ = ("grid", "dims")
-
-    def __init__(self, grid: TimeGrid, dims: tuple[int, ...]):
-        self.grid = grid
-        self.dims = tuple(int(d) for d in dims)
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the single-time space."""
-        return int(np.prod(self.dims))
-
-    @property
-    def total_dim(self) -> int:
-        return self.dim ** self.grid.n_times
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HistorySpace)
-                and self.grid == other.grid and self.dims == other.dims)
-
-    def __repr__(self) -> str:
-        return f"HistorySpace(times={self.grid.n_times}, dim={self.dim})"
-
-
 class History:
     """One projector per time; the product projector F_0 (x) ... (x) F_f."""
 
@@ -159,10 +133,11 @@ class HistoryFamily:
     holds the distinct projectors at time m and `names[m]` their labels, and
     row a of the read-only (n, f+1) array `index` picks history a's factor
     factors[m][index[a, m]] at each time.  `kinds` tags each history normal,
-    throwaway or unitary.
+    throwaway or unitary.  The history space is the tensor product of one
+    copy of the `dims` system per time of `grid`.
     """
 
-    __slots__ = ("space", "factors", "names", "index", "kinds")
+    __slots__ = ("grid", "dims", "factors", "names", "index", "kinds")
 
     def __init__(self, grid: TimeGrid, factors: Sequence[Sequence[Operator]],
                  names: Sequence[Sequence[str]], index, kinds):
@@ -196,19 +171,27 @@ class HistoryFamily:
             raise ArgumentError("duplicate history labels in family")
         index.flags.writeable = False
         kinds.flags.writeable = False
-        self.space = HistorySpace(grid, dims)
+        self.grid = grid
+        self.dims = tuple(int(d) for d in dims)
         self.factors = factors
         self.names = names
         self.index = index
         self.kinds = kinds
 
     @property
-    def grid(self) -> TimeGrid:
-        return self.space.grid
+    def dim(self) -> int:
+        """Dimension of the single-time space."""
+        return int(np.prod(self.dims))
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.space.dims
+    def total_dim(self) -> int:
+        """Dimension of the history space."""
+        return self.dim ** self.grid.n_times
+
+    @property
+    def space(self) -> "HistoryFamily":
+        """The family itself, which carries `grid`, `dims`, `dim` and `total_dim`."""
+        return self
 
     @property
     def n(self) -> int:
@@ -280,7 +263,7 @@ class HistoryFamily:
         rank = np.ones(self.n, dtype=object)
         for ops, col in zip(self.factors, self.index.T):
             rank = rank * np.array([round(op.trace().real) for op in ops], dtype=object)[col]
-        deficit = self.space.total_dim - int(rank.sum())
+        deficit = self.total_dim - int(rank.sum())
         if deficit:
             raise CompletenessError(
                 f"histories do not sum to the history-space identity: "
@@ -288,7 +271,7 @@ class HistoryFamily:
             )
 
     def __repr__(self) -> str:
-        return f"HistoryFamily(n={self.n}, times={self.grid.n_times}, dim={self.space.dim})"
+        return f"HistoryFamily(n={self.n}, times={self.grid.n_times}, dim={self.dim})"
 
 
 def _radix_index(sizes: Sequence[int]) -> np.ndarray:

@@ -7,20 +7,22 @@ they are referenced.  Complex numbers are written as "re+imi" pairs, e.g.
 "0.5-0.25i"; matrix rows are separated by ';'.
 
 Every statement kind but `scenario` and `query` is one row of `GRAMMAR`: its
-usage line, its Decl class, the `Environment` table it fills and the builder
-of its object.  One matcher parses a line against its row, one formatter
-writes a Decl back through it, and `resolve` walks the same rows.  Parsing
-yields a `Scenario` of declaration records; `resolve` builds the actual
-objects and validates every reference and every algebraic precondition
-before any query runs.
+usage line, the `Environment` table it fills and the builder of its object.
+The usage line is the only declaration of the statement's fields.  One
+matcher parses a line against its row into a `Decl` that carries the row and
+the field values, one formatter writes a Decl back through its row, and
+`resolve` walks the same rows.  Parsing yields a `Scenario` of Decls and
+`QueryDecl`s; `resolve` builds the actual objects and validates every
+reference and every algebraic precondition before any query runs; each query
+kind binds its arguments through one entry of a `{kind: binder}` table.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 from . import dynamics as dyn_mod
 from . import framework as fw
@@ -36,9 +38,6 @@ DEFAULT_TOLERANCES = {
     "floor": dyn_mod.CONSISTENCY_FLOOR,
 }
 TOLERANCE_NAMES = tuple(DEFAULT_TOLERANCES)
-
-QUERY_KINDS = ("consistency", "probability", "conditional", "compatibility",
-               "refinement", "povm", "locality", "sample")
 
 # Query argument keys whose values may span several tokens.
 _MULTI_KEYS = {"where", "given", "pds", "families"}
@@ -86,132 +85,6 @@ def _parse_sign(token: str, line: int | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class ToleranceDecl:
-    name: str
-    value: float
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class SystemDecl:
-    name: str
-    dim: int = 0
-    factors: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
-
-    @property
-    def kind(self) -> str:
-        return "factors" if self.factors else "dim"
-
-
-@dataclass(frozen=True)
-class StateDecl:
-    name: str
-    system: str
-    kind: str  # amps | basis | singlet | tensor
-    amps: tuple[complex, ...] = ()
-    index: int = 0
-    parts: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class OperatorDecl:
-    name: str
-    system: str
-    kind: str  # matrix | dyad | identity | tensor | spin | interval
-    rows: tuple[tuple[complex, ...], ...] = ()
-    state: str = ""
-    parts: tuple[str, ...] = ()
-    axis: str = ""
-    sign: str = ""
-    grid_points: tuple[float, ...] = ()
-    lo: float = 0.0
-    hi: float = 0.0
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class PdDecl:
-    name: str
-    system: str
-    kind: str  # spin | basis | trivial | projectors | dyads | tensor | lift | interval
-    members: tuple[str, ...] = ()
-    axis: str = ""
-    inner: str = ""
-    slot: int = 0
-    grid_points: tuple[float, ...] = ()
-    lo: float = 0.0
-    hi: float = 0.0
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class GridDecl:
-    name: str
-    times: tuple[float, ...]
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class DynamicsDecl:
-    name: str
-    system: str
-    grid: str
-    kind: str  # trivial | unitaries | hamiltonian
-    ops: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class HistoryDecl:
-    name: str
-    factors: tuple[str, ...]
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class FamilyDecl:
-    name: str
-    system: str
-    grid: str
-    kind: str  # product | fixed | unitary | raw
-    pds: tuple[str, ...] = ()
-    initial: str = ""
-    state: str = ""
-    dynamics: str = ""
-    histories: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LocalityHeadDecl:
-    name: str
-    sys_a: str
-    sys_b: str
-    sys_c: str
-    grid: str
-    initial: str
-    pds: tuple[str, ...]
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LocalityStepDecl:
-    name: str
-    op_a: str
-    op_bc: str
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LocalityStateDecl:
-    name: str
-    state: str
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class QueryDecl:
     kind: str
     args: tuple[tuple[str, str], ...]
@@ -238,12 +111,12 @@ class Scenario:
 
 
 # Usage-line syntax.  A bare word is a literal.  `{word}` is the literal that
-# picks the row among its statement's rows; it is stored in the Decl's `kind`
-# field where there is one.  `<field>` takes one token, `<field...>` one or
-# more, `[<field...>]` zero or more, and `<field> <field...>` two or more; a
-# repeated field runs to the next literal or to the end of the line.  A
-# `:type` suffix converts the tokens (int, float, complex, sign, or matrix:
-# complex entries with rows separated by ';'); untyped fields are names.
+# picks the row among its statement's rows, the row's `kind`.  `<field>` takes
+# one token, `<field...>` one or more, `[<field...>]` zero or more, and
+# `<field> <field...>` two or more; a repeated field runs to the next literal
+# or to the end of the line, and its value is a tuple.  A `:type` suffix
+# converts the tokens (int, float, complex, sign, or matrix: complex entries
+# with rows separated by ';'); untyped fields are names.
 _FIELD = re.compile(r"(\[?)<(\w+)(?::(\w+))?(\.\.\.)?>\]?$")
 # field type -> (token parser or None for names, value formatter)
 _TYPES = {"name": (None, str), "int": (parse_int, str),
@@ -251,8 +124,7 @@ _TYPES = {"name": (None, str), "int": (parse_int, str),
           "complex": (parse_complex, format_complex), "sign": (_parse_sign, str)}
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(NamedTuple):
     name: str
     type: str
     least: int  # fewest tokens
@@ -264,19 +136,15 @@ class Row:
     """One statement kind: its usage line, compiled, and how to resolve it.
 
     `build(env, decl, dims)` makes the object, where `dims` is the looked-up
-    `system` of the Decl (None for Decls without one).  Its result is stored
-    under the Decl's name in the Environment attribute `table`; a row
-    without a table adds to an object declared earlier.
+    `system` of the Decl (None for rows without a `system` field).  Its result
+    is stored under the Decl's name in the Environment attribute `table`; a
+    row without a table adds to an object declared earlier.
     """
 
-    def __init__(self, usage: str, decl: type, table: str | None = None,
+    def __init__(self, usage: str, table: str | None = None,
                  build: Callable | None = None):
-        self.usage, self.decl, self.table, self.build = usage, decl, table, build
+        self.usage, self.table, self.build = usage, table, build
         self.expected = "expected: " + usage.replace("{", "").replace("}", "")
-        types = {f.name: f.type for f in fields(decl)}
-        self.tuples = {name for name, t in types.items() if t.startswith("tuple")}
-        self.sets_kind = "kind" in types
-        self.on_system = "system" in types
         self.head = usage.split()[0]
         self.kind = self.kind_at = None  # the {word} and its position
         items: list = []
@@ -287,17 +155,19 @@ class Row:
                     word = self.kind = word[1:-1]
                     self.kind_at = pos
                 if items and getattr(items[-1], "many", False):
-                    items[-1] = replace(items[-1], stop=word)
+                    items[-1] = items[-1]._replace(stop=word)
                 items.append(word)
             elif isinstance(items[-1], _Field) and items[-1].name == m[2]:
-                items[-1] = replace(items[-1], least=items[-1].least + 1, many=True)
+                items[-1] = items[-1]._replace(least=items[-1].least + 1, many=True)
             else:
                 items.append(_Field(m[2], m[3] or "name", 0 if m[1] else 1, bool(m[4])))
         self.items = tuple(items)
+        self.on_system = any(type(item) is _Field and item.name == "system"
+                             for item in items)
 
-    def match(self, tokens: list[str], n: int):
+    def match(self, tokens: list[str], n: int) -> Decl:
         """The Decl that `tokens` (line `n`) spell, or ParseError."""
-        values = {"kind": self.kind} if self.sets_kind else {}
+        values = {}
         i, end = 0, len(tokens)
         for item in self.items:
             if type(item) is str:
@@ -316,13 +186,13 @@ class Row:
                 parse_token = _TYPES[item.type][0]
                 vals = tokens[i:j] if parse_token is None else [
                     parse_token(t, n) for t in tokens[i:j]]
-                values[item.name] = tuple(vals) if item.name in self.tuples else vals[0]
+                values[item.name] = tuple(vals) if item.many else vals[0]
             i = j
         if i != end:
             raise ParseError(self.expected, n)
-        return self.decl(**values, line=n)
+        return Decl(self, n, **values)
 
-    def format(self, decl) -> str:
+    def format(self, decl: Decl) -> str:
         out = []
         for item in self.items:
             if type(item) is str:
@@ -330,11 +200,38 @@ class Row:
             elif item.type == "matrix":
                 out.append(" ; ".join(" ".join(map(format_complex, row))
                                       for row in getattr(decl, item.name)))
-            elif item.name in self.tuples:
+            elif item.many:
                 out.extend(map(_TYPES[item.type][1], getattr(decl, item.name)))
             else:
                 out.append(_TYPES[item.type][1](getattr(decl, item.name)))
         return " ".join(out)
+
+
+class Decl:
+    """One statement: its `GRAMMAR` row, the values of the row's fields as
+    attributes, and its line number.  Two Decls are equal when their rows and
+    values are; the line is not compared."""
+
+    def __init__(self, row: Row, line: int = 0, **values):
+        self.__dict__.update(values)
+        self.row, self.line = row, line
+
+    def _values(self) -> dict:
+        values = dict(vars(self))
+        del values["line"]
+        return values
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Decl and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._values().items()))
+
+    def to_line(self) -> str:
+        return self.row.format(self)
+
+    def __repr__(self) -> str:
+        return f"Decl({self.to_line()!r}, line={self.line})"
 
 
 def _split_rows(tokens: Sequence[str], line: int) -> tuple[tuple[complex, ...], ...]:
@@ -388,11 +285,6 @@ def _select(tokens: list[str], n: int) -> Row:
     raise ParseError(f"unknown {tokens[0]} kind {tokens[at]!r}; expected: {choices}", n)
 
 
-def _row_for(decl) -> Row:
-    rows = _BY_DECL[type(decl)]
-    return rows[decl.kind] if len(rows) > 1 else next(iter(rows.values()))
-
-
 def parse(text: str) -> Scenario:
     """Parse scenario text; raises ParseError naming the offending line."""
     name = None
@@ -421,15 +313,13 @@ def parse(text: str) -> Scenario:
 
 def serialize(scenario: Scenario) -> str:
     lines = [f"scenario {scenario.name}"]
-    lines.extend(stmt.to_line() if isinstance(stmt, QueryDecl)
-                 else _row_for(stmt).format(stmt) for stmt in scenario.statements)
+    lines.extend(stmt.to_line() for stmt in scenario.statements)
     return "\n".join(lines) + "\n"
 
 
 @dataclass
 class BoundQuery:
     decl: QueryDecl
-    kind: str
     payload: dict
 
 
@@ -446,9 +336,9 @@ class Environment:
         self.dynamics: dict[str, dyn_mod.Dynamics] = {}
         self.histories: dict[str, hist_mod.History] = {}
         self.families: dict[str, hist_mod.HistoryFamily] = {}
-        self.locality_heads: dict[str, LocalityHeadDecl] = {}
-        self.locality_steps: dict[str, list[LocalityStepDecl]] = {}
-        self.locality_states: dict[str, list[LocalityStateDecl]] = {}
+        self.locality_heads: dict[str, Decl] = {}
+        self.locality_steps: dict[str, list[Decl]] = {}
+        self.locality_states: dict[str, list[Decl]] = {}
         self.localities: dict[str, tuple[LocalityExperiment, list[Ket]]] = {}
         self.queries: list[BoundQuery] = []
 
@@ -465,7 +355,7 @@ class Environment:
 
 
 def _invalid(d, message: str) -> ValidationError:
-    return ValidationError(f"{_row_for(d).head} {d.name!r}: {message}", d.line)
+    return ValidationError(f"{d.row.head} {d.name!r}: {message}", d.line)
 
 
 def _grid(env: Environment, d) -> hist_mod.TimeGrid:
@@ -580,7 +470,7 @@ def _dynamics_unitaries(env, d, dims):
 
 def _dynamics_hamiltonian(env, d, dims):
     grid = _grid(env, d)
-    ham = env.lookup(env.operators, d.ops[0], "operator", d.line)
+    ham = env.lookup(env.operators, d.ops, "operator", d.line)
     return dyn_mod.Dynamics.from_hamiltonian(grid, Operator(ham.matrix, dims))
 
 
@@ -622,75 +512,73 @@ _FAMILY = "family <name> system <system> grid <grid>"
 _INTERVAL = "{interval} grid [<grid_points:float...>] window <lo:float> <hi:float>"
 
 GRAMMAR = (
-    Row("tolerance <name> <value:float>", ToleranceDecl),
-    Row("system <name> {dim} <dim:int>", SystemDecl, "systems", _system_dim),
-    Row("system <name> {factors} <factors...>", SystemDecl, "systems",
+    Row("tolerance <name> <value:float>"),
+    Row("system <name> {dim} <dim:int>", "systems", _system_dim),
+    Row("system <name> {factors} <factors...>", "systems",
         lambda env, d, dims: sum(
             env.lookup_all(env.systems, d.factors, "system", d.line), ())),
-    Row(f"{_STATE} {{amps}} <amps:complex...>", StateDecl, "states", _state_amps),
-    Row(f"{_STATE} {{basis}} <index:int>", StateDecl, "states", _state_basis),
-    Row(f"{_STATE} {{singlet}}", StateDecl, "states", _state_singlet),
-    Row(f"{_STATE} {{tensor}} <parts> <parts...>", StateDecl, "states", _state_tensor),
-    Row(f"{_OPERATOR} {{matrix}} <rows:matrix...>", OperatorDecl, "operators",
+    Row(f"{_STATE} {{amps}} <amps:complex...>", "states", _state_amps),
+    Row(f"{_STATE} {{basis}} <index:int>", "states", _state_basis),
+    Row(f"{_STATE} {{singlet}}", "states", _state_singlet),
+    Row(f"{_STATE} {{tensor}} <parts> <parts...>", "states", _state_tensor),
+    Row(f"{_OPERATOR} {{matrix}} <rows:matrix...>", "operators",
         _operator_matrix),
-    Row(f"{_OPERATOR} {{dyad}} <state>", OperatorDecl, "operators", _operator_dyad),
-    Row(f"{_OPERATOR} {{identity}}", OperatorDecl, "operators",
+    Row(f"{_OPERATOR} {{dyad}} <state>", "operators", _operator_dyad),
+    Row(f"{_OPERATOR} {{identity}}", "operators",
         lambda env, d, dims: Operator.identity(dims)),
-    Row(f"{_OPERATOR} {{tensor}} <parts> <parts...>", OperatorDecl, "operators",
+    Row(f"{_OPERATOR} {{tensor}} <parts> <parts...>", "operators",
         _operator_tensor),
-    Row(f"{_OPERATOR} {{spin}} <axis> <sign:sign>", OperatorDecl, "operators",
+    Row(f"{_OPERATOR} {{spin}} <axis> <sign:sign>", "operators",
         lambda env, d, dims: op_mod.dyad(op_mod.spin_ket(_spin_axis(d, dims), d.sign))),
-    Row(f"{_OPERATOR} {_INTERVAL}", OperatorDecl, "operators",
+    Row(f"{_OPERATOR} {_INTERVAL}", "operators",
         lambda env, d, dims: op_mod.interval_projector(
             _grid_points(d, dims), d.lo, d.hi)),
-    Row(f"{_PD} {{spin}} <axis>", PdDecl, "pds",
+    Row(f"{_PD} {{spin}} <axis>", "pds",
         lambda env, d, dims: fw.spin_pd(_spin_axis(d, dims))),
-    Row(f"{_PD} {{basis}}", PdDecl, "pds", lambda env, d, dims: fw.basis_pd(dims)),
-    Row(f"{_PD} {{trivial}}", PdDecl, "pds", lambda env, d, dims: fw.trivial_pd(dims)),
-    Row(f"{_PD} {{projectors}} <members...>", PdDecl, "pds", _pd_projectors),
-    Row(f"{_PD} {{dyads}} <members...>", PdDecl, "pds", _pd_dyads),
-    Row(f"{_PD} {{tensor}} <members...>", PdDecl, "pds", _pd_tensor),
-    Row(f"{_PD} {{lift}} <inner> slot <slot:int>", PdDecl, "pds", _pd_lift),
-    Row(f"{_PD} {_INTERVAL}", PdDecl, "pds",
+    Row(f"{_PD} {{basis}}", "pds", lambda env, d, dims: fw.basis_pd(dims)),
+    Row(f"{_PD} {{trivial}}", "pds", lambda env, d, dims: fw.trivial_pd(dims)),
+    Row(f"{_PD} {{projectors}} <members...>", "pds", _pd_projectors),
+    Row(f"{_PD} {{dyads}} <members...>", "pds", _pd_dyads),
+    Row(f"{_PD} {{tensor}} <members...>", "pds", _pd_tensor),
+    Row(f"{_PD} {{lift}} <inner> slot <slot:int>", "pds", _pd_lift),
+    Row(f"{_PD} {_INTERVAL}", "pds",
         lambda env, d, dims: fw.interval_pd(
             _grid_points(d, dims), d.lo, d.hi, env.tol("tol_alg"))),
-    Row("grid <name> times <times:float...>", GridDecl, "grids",
+    Row("grid <name> times <times:float...>", "grids",
         lambda env, d, dims: hist_mod.TimeGrid(d.times)),
-    Row(f"{_DYNAMICS} {{trivial}}", DynamicsDecl, "dynamics",
+    Row(f"{_DYNAMICS} {{trivial}}", "dynamics",
         lambda env, d, dims: dyn_mod.Dynamics.trivial(_grid(env, d), dims)),
-    Row(f"{_DYNAMICS} {{unitaries}} <ops...>", DynamicsDecl, "dynamics",
+    Row(f"{_DYNAMICS} {{unitaries}} <ops...>", "dynamics",
         _dynamics_unitaries),
-    Row(f"{_DYNAMICS} {{hamiltonian}} <ops>", DynamicsDecl, "dynamics",
+    Row(f"{_DYNAMICS} {{hamiltonian}} <ops>", "dynamics",
         _dynamics_hamiltonian),
-    Row("history <name> factors <factors...>", HistoryDecl, "histories",
+    Row("history <name> factors <factors...>", "histories",
         lambda env, d, dims: hist_mod.History(
             env.lookup_all(env.operators, d.factors, "operator", d.line),
             d.factors, tol=env.tol("tol_alg"))),
-    Row(f"{_FAMILY} {{product}} <pds...>", FamilyDecl, "families",
+    Row(f"{_FAMILY} {{product}} <pds...>", "families",
         lambda env, d, dims: hist_mod.product_family(
             _grid(env, d), env.lookup_all(env.pds, d.pds, "pd", d.line))),
-    Row(f"{_FAMILY} {{fixed}} <initial> <pds...>", FamilyDecl, "families", _family_fixed),
-    Row(f"{_FAMILY} {{unitary}} <state> <dynamics>", FamilyDecl, "families",
+    Row(f"{_FAMILY} {{fixed}} <initial> <pds...>", "families", _family_fixed),
+    Row(f"{_FAMILY} {{unitary}} <state> <dynamics>", "families",
         _family_unitary),
-    Row(f"{_FAMILY} {{raw}} <histories...>", FamilyDecl, "families",
+    Row(f"{_FAMILY} {{raw}} <histories...>", "families",
         lambda env, d, dims: hist_mod.raw_family(
             _grid(env, d), env.lookup_all(env.histories, d.histories, "history", d.line),
             tol=env.tol("tol_alg"))),
     Row("locality <name> {systems} <sys_a> <sys_b> <sys_c> grid <grid> "
-        "initial <initial> pds [<pds...>]", LocalityHeadDecl, "locality_heads",
+        "initial <initial> pds [<pds...>]", "locality_heads",
         lambda env, d, dims: d),
-    Row("locality <name> {step} <op_a> <op_bc>", LocalityStepDecl, None,
+    Row("locality <name> {step} <op_a> <op_bc>", None,
         _locality_part("locality_steps")),
-    Row("locality <name> {cstate} <state>", LocalityStateDecl, None,
+    Row("locality <name> {cstate} <state>", None,
         _locality_part("locality_states")),
 )
 
-# statement -> {kind: row}, and Decl class -> {kind: row}
+# statement -> {kind: row}
 _BY_HEAD: dict[str, dict[str | None, Row]] = {}
-_BY_DECL: dict[type, dict[str | None, Row]] = {}
 for _row in GRAMMAR:
     _BY_HEAD.setdefault(_row.head, {})[_row.kind] = _row
-    _BY_DECL.setdefault(_row.decl, {})[_row.kind] = _row
 
 
 def _tolerance(name: str, value: float, line: int | None = None) -> float:
@@ -736,68 +624,99 @@ def _require(decl: QueryDecl, key: str) -> str:
     return v
 
 
-def _bind_query(env: Environment, q: QueryDecl) -> BoundQuery:
-    payload: dict = {}
-    if q.kind in ("consistency", "probability", "conditional", "sample"):
-        family = env.lookup(env.families, _require(q, "family"), "family", q.line)
-        dynamics = env.lookup(env.dynamics, _require(q, "dynamics"), "dynamics",
-                              q.line)
-        if family.grid != dynamics.grid:
-            raise ValidationError("family and dynamics use different grids", q.line)
-        if family.dims != dynamics.dims:
-            raise ValidationError("family and dynamics dims differ", q.line)
-        payload.update(family=family, dynamics=dynamics)
-        if q.kind in ("probability", "conditional"):
-            payload["where"] = _parse_event(env, family, _require(q, "where"), q.line)
-        if q.kind == "conditional":
-            payload["given"] = _parse_event(env, family, _require(q, "given"), q.line)
-        if q.kind == "sample":
-            payload["count"] = parse_int(_require(q, "count"), q.line)
-            if payload["count"] < 1:
-                raise ValidationError("sample count must be positive", q.line)
-            payload["seed"] = parse_int(_require(q, "seed"), q.line)
-            if payload["seed"] < 0:
-                raise ValidationError("sample seed must be non-negative", q.line)
-    elif q.kind == "compatibility":
-        key = next((k for k in ("pds", "families") if q.arg(k) is not None), None)
-        if key is None:
-            raise ValidationError("compatibility needs 'pds' or 'families'", q.line)
-        names = q.arg(key).split()
-        if len(names) != 2:
-            raise ValidationError(f"compatibility {key} needs two names", q.line)
-        table, what = (env.pds, "pd") if key == "pds" else (env.families, "family")
-        payload[key] = tuple(env.lookup_all(table, names, what, q.line))
-        if key == "families" and q.arg("dynamics") is not None:
-            payload["dynamics"] = env.lookup(env.dynamics, q.arg("dynamics"),
-                                             "dynamics", q.line)
-    elif q.kind == "refinement":
-        payload["fine"] = env.lookup(env.pds, _require(q, "fine"), "pd", q.line)
-        payload["coarse"] = env.lookup(env.pds, _require(q, "coarse"), "pd", q.line)
-        if payload["fine"].dim != payload["coarse"].dim:
-            raise ValidationError("refinement decompositions have different dims", q.line)
-    elif q.kind == "povm":
-        pd = env.lookup(env.pds, _require(q, "pd"), "pd", q.line)
-        state = env.lookup(env.states, _require(q, "state"), "state", q.line)
-        slot = parse_int(_require(q, "ancilla"), q.line)
-        if len(pd.dims) < 2:
-            raise ValidationError("povm needs a pd on a composite system", q.line)
-        if not 0 <= slot < len(pd.dims):
-            raise ValidationError(f"ancilla slot {slot} out of range", q.line)
-        if state.dim != pd.dims[slot]:
-            raise ValidationError(
-                f"ancilla state dim {state.dim} != factor dim {pd.dims[slot]}",
-                q.line)
-        payload.update(pd=pd, state=state, ancilla=slot)
-    elif q.kind == "locality":
-        name = _require(q, "locality")
-        if name not in env.localities:
-            raise ValidationError(f"unknown locality experiment {name!r}", q.line)
-        payload["experiment"], payload["c_states"] = env.localities[name]
-        payload["name"] = name
-    return BoundQuery(q, q.kind, payload)
+def _bind_family(env: Environment, q: QueryDecl) -> dict:
+    family = env.lookup(env.families, _require(q, "family"), "family", q.line)
+    dynamics = env.lookup(env.dynamics, _require(q, "dynamics"), "dynamics", q.line)
+    if family.grid != dynamics.grid:
+        raise ValidationError("family and dynamics use different grids", q.line)
+    if family.dims != dynamics.dims:
+        raise ValidationError("family and dynamics dims differ", q.line)
+    return {"family": family, "dynamics": dynamics}
 
 
-def _finish_locality(env: Environment, head: LocalityHeadDecl) -> None:
+def _bind_probability(env: Environment, q: QueryDecl) -> dict:
+    payload = _bind_family(env, q)
+    payload["where"] = _parse_event(env, payload["family"], _require(q, "where"), q.line)
+    return payload
+
+
+def _bind_conditional(env: Environment, q: QueryDecl) -> dict:
+    payload = _bind_probability(env, q)
+    payload["given"] = _parse_event(env, payload["family"], _require(q, "given"), q.line)
+    return payload
+
+
+def _bind_compatibility(env: Environment, q: QueryDecl) -> dict:
+    key = next((k for k in ("pds", "families") if q.arg(k) is not None), None)
+    if key is None:
+        raise ValidationError("compatibility needs 'pds' or 'families'", q.line)
+    names = q.arg(key).split()
+    if len(names) != 2:
+        raise ValidationError(f"compatibility {key} needs two names", q.line)
+    table, what = (env.pds, "pd") if key == "pds" else (env.families, "family")
+    payload = {key: tuple(env.lookup_all(table, names, what, q.line))}
+    if key == "families" and q.arg("dynamics") is not None:
+        payload["dynamics"] = env.lookup(env.dynamics, q.arg("dynamics"),
+                                         "dynamics", q.line)
+    return payload
+
+
+def _bind_refinement(env: Environment, q: QueryDecl) -> dict:
+    fine = env.lookup(env.pds, _require(q, "fine"), "pd", q.line)
+    coarse = env.lookup(env.pds, _require(q, "coarse"), "pd", q.line)
+    if fine.dim != coarse.dim:
+        raise ValidationError("refinement decompositions have different dims", q.line)
+    return {"fine": fine, "coarse": coarse}
+
+
+def _bind_povm(env: Environment, q: QueryDecl) -> dict:
+    pd = env.lookup(env.pds, _require(q, "pd"), "pd", q.line)
+    state = env.lookup(env.states, _require(q, "state"), "state", q.line)
+    slot = parse_int(_require(q, "ancilla"), q.line)
+    if len(pd.dims) < 2:
+        raise ValidationError("povm needs a pd on a composite system", q.line)
+    if not 0 <= slot < len(pd.dims):
+        raise ValidationError(f"ancilla slot {slot} out of range", q.line)
+    if state.dim != pd.dims[slot]:
+        raise ValidationError(
+            f"ancilla state dim {state.dim} != factor dim {pd.dims[slot]}", q.line)
+    return {"pd": pd, "state": state, "ancilla": slot}
+
+
+def _bind_locality(env: Environment, q: QueryDecl) -> dict:
+    name = _require(q, "locality")
+    if name not in env.localities:
+        raise ValidationError(f"unknown locality experiment {name!r}", q.line)
+    experiment, c_states = env.localities[name]
+    return {"experiment": experiment, "c_states": c_states, "name": name}
+
+
+def _bind_sample(env: Environment, q: QueryDecl) -> dict:
+    payload = _bind_family(env, q)
+    payload["count"] = parse_int(_require(q, "count"), q.line)
+    if payload["count"] < 1:
+        raise ValidationError("sample count must be positive", q.line)
+    payload["seed"] = parse_int(_require(q, "seed"), q.line)
+    if payload["seed"] < 0:
+        raise ValidationError("sample seed must be non-negative", q.line)
+    return payload
+
+
+# query kind -> binder of its arguments into the payload of its runner
+_BINDERS = {
+    "consistency": _bind_family,
+    "probability": _bind_probability,
+    "conditional": _bind_conditional,
+    "compatibility": _bind_compatibility,
+    "refinement": _bind_refinement,
+    "povm": _bind_povm,
+    "locality": _bind_locality,
+    "sample": _bind_sample,
+}
+QUERY_KINDS = tuple(_BINDERS)
+
+
+def _finish_locality(env: Environment, head: Decl) -> None:
     name, line = head.name, head.line
     d_a, d_b, d_c = (math.prod(d) for d in env.lookup_all(
         env.systems, (head.sys_a, head.sys_b, head.sys_c), "system", line))
@@ -825,16 +744,17 @@ def resolve(scenario: Scenario,
     """Build every declared object and bind every query, or fail with a
     ValidationError naming the statement."""
     env = Environment()
-    for stmt in scenario.statements:
-        if isinstance(stmt, ToleranceDecl):
+    decls = [s for s in scenario.statements if not isinstance(s, QueryDecl)]
+    for stmt in decls:
+        if stmt.row.head == "tolerance":
             env.tolerances[stmt.name] = _tolerance(stmt.name, stmt.value, stmt.line)
     for key, value in (tolerance_overrides or {}).items():
         env.tolerances[key] = _tolerance(key, value)
 
     declared: set[str] = set()  # every name in the Environment tables of the rows
-    for stmt in scenario.statements:
-        row = None if isinstance(stmt, QueryDecl) else _row_for(stmt)
-        if row is None or row.build is None:  # queries bind last, tolerances came first
+    for stmt in decls:  # queries bind last
+        row = stmt.row
+        if row.build is None:  # tolerances came first
             continue
         try:
             if row.table is not None and stmt.name in declared:
@@ -852,5 +772,5 @@ def resolve(scenario: Scenario,
 
     for head in env.locality_heads.values():
         _finish_locality(env, head)
-    env.queries = [_bind_query(env, q) for q in scenario.queries]
+    env.queries = [BoundQuery(q, _BINDERS[q.kind](env, q)) for q in scenario.queries]
     return env

@@ -45,7 +45,7 @@ class TestChainOperator:
         us = [random_unitary(rng, 3) for _ in range(3)]
         dyn = Dynamics(grid, us)
         fam = product_family(grid, [trivial_pd(3)] * 4)
-        k = chain_operator(fam.histories[0], dyn).value
+        k = chain_operator(fam.histories[0], dyn)
         expected = us[2].matrix @ us[1].matrix @ us[0].matrix
         assert np.allclose(k.matrix, expected)
 
@@ -59,7 +59,7 @@ class TestChainOperator:
             fam = product_family(grid, [pd0, pd1])
             for idx, h in enumerate(fam.histories):
                 j, k = divmod(idx, pd1.size)
-                kop = chain_operator(h, dyn).value
+                kop = chain_operator(h, dyn)
                 w = float(np.linalg.norm(kop.matrix) ** 2)
                 assert abs(w - born_weight(pd0, pd1, dyn, j, k)) < 1e-10
 
@@ -72,7 +72,7 @@ class TestChainOperator:
         from cohist import History
 
         h = History([xp, zp, xp], ["x+", "z+", "x+"])
-        k = chain_operator(h, dyn).value
+        k = chain_operator(h, dyn)
         oracle = xp.matrix @ zp.matrix @ xp.matrix
         assert np.allclose(k.matrix, oracle)
         assert np.allclose(k.matrix, 0.5 * xp.matrix)

@@ -69,7 +69,7 @@ def test_batched_functional_matches_per_history_gram(case):
     assert np.max(np.abs(report.matrix - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     assert np.array_equal(report.weights, report.matrix.diagonal().real)
     for h in fam.histories:
-        assert np.array_equal(chain_operator(h, dyn).value.matrix, loop_chain(h, dyn))
+        assert np.array_equal(chain_operator(h, dyn).matrix, loop_chain(h, dyn))
 
 
 @PROPERTY

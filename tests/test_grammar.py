@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohist import ParseError
-from cohist.scenario import GRAMMAR, Scenario, parse, serialize
+from cohist.scenario import GRAMMAR, Decl, Scenario, parse, serialize
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,25 +29,22 @@ TOKEN = {
 }
 
 
-def _value(row, item):
-    """Strategy for the value of one field of `row`'s Decl."""
+def _value(item):
+    """Strategy for the value of one field of a row: a repeated field's is a
+    tuple of at least as many tokens as the field takes."""
     if item.type == "matrix":
         return st.lists(st.lists(COMPLEX, min_size=1, max_size=3).map(tuple),
                         min_size=1, max_size=3).map(tuple)
-    if item.name not in row.tuples:
+    if not item.many:
         return TOKEN[item.type]
-    size = (st.integers(item.least, item.least + 3) if item.many
-            else st.just(item.least))
-    return size.flatmap(
-        lambda k: st.lists(TOKEN[item.type], min_size=k, max_size=k).map(tuple))
+    return st.lists(TOKEN[item.type], min_size=item.least,
+                    max_size=item.least + 3).map(tuple)
 
 
 def decls(row):
-    fields = {item.name: _value(row, item)
+    fields = {item.name: _value(item)
               for item in row.items if not isinstance(item, str)}
-    if row.sets_kind:
-        fields["kind"] = st.just(row.kind)
-    return st.fixed_dictionaries(fields).map(lambda kw: row.decl(**kw))
+    return st.fixed_dictionaries(fields).map(lambda kw: Decl(row, **kw))
 
 
 def _row_id(row):
@@ -74,8 +71,39 @@ class TestRoundTrip:
 
     def test_every_usage_line_is_a_row_of_its_own(self):
         assert len({row.usage for row in GRAMMAR}) == len(GRAMMAR)
-        keys = {(row.decl, row.kind) for row in GRAMMAR}
+        keys = {(row.head, row.kind) for row in GRAMMAR}
         assert len(keys) == len(GRAMMAR)
+
+
+class TestDecl:
+
+    # Lines with the same field names and values on different rows, of two
+    # statements or of two kinds of one statement: only the row tells them apart.
+    @pytest.mark.parametrize("one,other", [
+        ("operator a system s identity", "pd a system s trivial"),
+        ("pd a system s basis", "pd a system s trivial"),
+        ("state k system s singlet", "operator k system s identity"),
+    ])
+    def test_rows_take_part_in_equality(self, one, other):
+        a, b = (parse(f"scenario x\n{line}\n").statements[0] for line in (one, other))
+        assert vars(a).keys() - {"row"} == vars(b).keys() - {"row"}
+        assert a != b
+        assert len({a, b}) == 2
+
+    def test_equality_and_hash_ignore_the_line(self):
+        line = "pd p system s lift x slot 1"
+        a = parse(f"scenario x\n{line}\n").statements[0]
+        b = parse(f"scenario x\n\n\n{line}\n").statements[0]
+        assert (a.line, b.line) == (2, 4)
+        assert a == b and hash(a) == hash(b)
+        assert a == Decl(a.row, name="p", system="s", inner="x", slot=1)
+        assert a != Decl(a.row, name="p", system="s", inner="x", slot=0)
+
+    def test_repeated_fields_are_tuples(self):
+        tensor, ham = parse("scenario x\nstate k system s tensor a b\n"
+                            "dynamics d system s grid g hamiltonian h\n").statements
+        assert tensor.parts == ("a", "b")
+        assert ham.ops == "h"
 
 
 # Malformed lines per grammar row, keyed by (statement, kind).  Each one is

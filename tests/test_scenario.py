@@ -162,6 +162,7 @@ class TestRoundTrip:
         text = demo_text(name)
         s = parse(text)
         assert parse(serialize(s)) == s
+        assert serialize(s) == text
         resolve(s)
 
     def test_round_trip_preserves_numbers_exactly(self):
