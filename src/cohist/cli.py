@@ -23,10 +23,9 @@ import numpy as np
 
 from . import demos as demos_mod
 from .dynamics import (
-    _require_consistent,
     conditional_probability,
     decoherence_functional,
-    event_weight,
+    probability,
     sample_counts,
 )
 from .errors import CohistError, ParseError, ValidationError
@@ -156,14 +155,10 @@ def _run_consistency(rec: Record, payload: dict, env: Environment) -> None:
 
 
 def _run_probability(rec: Record, payload: dict, env: Environment) -> None:
-    family, dynamics = payload["family"], payload["dynamics"]
-    report = decoherence_functional(
-        family, dynamics, tol_consistency=env.tol("tol_consistency"),
-        floor=env.tol("floor"))
-    _require_consistent(report)
+    value = probability(
+        payload["family"], payload["dynamics"], payload["where"],
+        tol_consistency=env.tol("tol_consistency"), floor=env.tol("floor"))
     rec.add("where", _event_spec(payload["where"]))
-    total = report.total_weight()
-    value = event_weight(family, report, payload["where"]) / total
     rec.add("value", value)
 
 

@@ -163,6 +163,21 @@ class MeasurementModel:
         return fixed_initial_family(self.grid, init, [at_t1, at_t2], label="Psi0")
 
 
+def _pointers(n: int, d_m: int) -> tuple[list[Ket], ProjectiveDecomposition]:
+    """The pointer kets |2+j> of an apparatus of dim d_m, j < n, and the pointer
+    decomposition P1..Pn, rest = I - sum_j |M^j><M^j|."""
+    pointers = [basis_ket(2 + j, d_m) for j in range(n)]
+    rest = Operator.identity(d_m)
+    for m in pointers:
+        rest = rest - dyad(m)
+    pointer_pd = make_pd(
+        [dyad(m) for m in pointers]
+        + [Operator(rest.matrix, (d_m,), flavor="projector")],
+        [f"P{j + 1}" for j in range(n)] + ["rest"],
+    )
+    return pointers, pointer_pd
+
+
 def build_measurement(basis, mode: str = "destructive",
                       d_m: int | None = None) -> MeasurementModel:
     """Assemble the measurement model for a particle basis.
@@ -187,7 +202,7 @@ def build_measurement(basis, mode: str = "destructive",
         )
     ready0 = basis_ket(0, d_m)
     ready1 = basis_ket(1, d_m)
-    pointers = [basis_ket(2 + j, d_m) for j in range(d_s)]
+    pointers, pointer_pd = _pointers(d_s, d_m)
     dims = (d_s, d_m)
 
     # First step: apparatus moves M_0 -> M_1, particle untouched.
@@ -203,15 +218,6 @@ def build_measurement(basis, mode: str = "destructive",
         final = basis[0] if mode == "destructive" else s
         pairs.append((tensor(s, ready1), tensor(final, pointers[j])))
     u_second = complete_unitary(pairs, dims)
-
-    rest = Operator.identity(d_m)
-    for m in pointers:
-        rest = rest - dyad(m)
-    pointer_pd = make_pd(
-        [dyad(m) for m in pointers]
-        + [Operator(rest.matrix, (d_m,), flavor="projector")],
-        [f"P{j + 1}" for j in range(d_s)] + ["rest"],
-    )
     grid = TimeGrid((0.0, 1.0, 2.0))
     return MeasurementModel(mode, basis, ready0, ready1, pointers,
                             u_first, u_second, pointer_pd, grid)
@@ -325,21 +331,13 @@ class ContextualPreparation:
             d_m = n + 2
         if d_m < n + 2:
             raise DimError(f"apparatus dim {d_m} too small for {n} pointer states")
-        pointers = [basis_ket(2 + j, d_m) for j in range(n)]
+        pointers, pointer_pd = _pointers(n, d_m)
         target = sum(cj * tensor(r, m).amplitudes
                      for cj, r, m in zip(c, r_states, pointers))
         initial = tensor(basis_ket(0, d_s), basis_ket(0, d_m))
         dims = (d_s, d_m)
         unitary = complete_unitary(
             [(initial, Ket(target, dims).require_normalized(1e-10))], dims
-        )
-        rest = Operator.identity(d_m)
-        for m in pointers:
-            rest = rest - dyad(m)
-        pointer_pd = make_pd(
-            [dyad(m) for m in pointers]
-            + [Operator(rest.matrix, (d_m,), flavor="projector")],
-            [f"P{j + 1}" for j in range(n)] + ["rest"],
         )
         self.r_states = r_states
         self.c = c

@@ -8,13 +8,13 @@ they are referenced.  Complex numbers are written as "re+imi" pairs, e.g.
 
 Every statement kind but `scenario` and `query` is one row of `GRAMMAR`: its
 usage line, the `Environment` table it fills and the builder of its object.
-The usage line is the only declaration of the statement's fields.  One
-matcher parses a line against its row into a `Decl` that carries the row and
-the field values, one formatter writes a Decl back through its row, and
-`resolve` walks the same rows.  Parsing yields a `Scenario` of Decls and
-`QueryDecl`s; `resolve` builds the actual objects and validates every
-reference and every algebraic precondition before any query runs; each query
-kind binds its arguments through one entry of a `{kind: binder}` table.
+The usage line is the only declaration of the statement's fields; a field that
+names earlier objects carries their type (`<parts:state...>`).  One matcher
+parses a line against its row into a `Decl`, one formatter writes a Decl back
+through its row, and `resolve` walks the same rows: it looks every reference
+up on its own line, builds the objects and checks every algebraic
+precondition before any query runs.  Each query kind binds its arguments
+through one entry of a `{kind: binder}` table.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from . import dynamics as dyn_mod
@@ -116,12 +117,19 @@ class Scenario:
 # `<field> <field...>` two or more; a repeated field runs to the next literal
 # or to the end of the line, and its value is a tuple.  A `:type` suffix
 # converts the tokens (int, float, complex, sign, or matrix: complex entries
-# with rows separated by ';'); untyped fields are names.
+# with rows separated by ';'); untyped fields are names.  A reference type
+# (system, state, operator, pd, grid, dynamics, history) is a name, or names,
+# of objects declared earlier in that type's `Environment` table; `resolve`
+# looks them up before the row's builder runs.
 _FIELD = re.compile(r"(\[?)<(\w+)(?::(\w+))?(\.\.\.)?>\]?$")
+# reference type -> the Environment table of its objects
+_REFS = {"system": "systems", "state": "states", "operator": "operators", "pd": "pds",
+         "grid": "grids", "dynamics": "dynamics", "history": "histories"}
 # field type -> (token parser or None for names, value formatter)
 _TYPES = {"name": (None, str), "int": (parse_int, str),
           "float": (parse_float, format_float),
-          "complex": (parse_complex, format_complex), "sign": (_parse_sign, str)}
+          "complex": (parse_complex, format_complex), "sign": (_parse_sign, str),
+          **{ref: (None, str) for ref in _REFS}}
 
 
 class _Field(NamedTuple):
@@ -135,16 +143,18 @@ class _Field(NamedTuple):
 class Row:
     """One statement kind: its usage line, compiled, and how to resolve it.
 
-    `build(env, decl, dims)` makes the object, where `dims` is the looked-up
-    `system` of the Decl (None for rows without a `system` field).  Its result
-    is stored under the Decl's name in the Environment attribute `table`; a
-    row without a table adds to an object declared earlier.
+    `build(env, decl, refs)` makes the object, where `refs` holds the looked-up
+    objects of the Decl's reference fields under the fields' names.  Its
+    result is stored under the Decl's name in the Environment attribute
+    `table`; a row without a table adds to an object declared earlier.
     """
 
     def __init__(self, usage: str, table: str | None = None,
                  build: Callable | None = None):
         self.usage, self.table, self.build = usage, table, build
-        self.expected = "expected: " + usage.replace("{", "").replace("}", "")
+        # the usage line as errors spell it: no kind braces, no reference types
+        self.words = re.sub(r"[{}]|:(?:%s)\b" % "|".join(_REFS), "", usage).split()
+        self.expected = "expected: " + " ".join(self.words)
         self.head = usage.split()[0]
         self.kind = self.kind_at = None  # the {word} and its position
         items: list = []
@@ -162,8 +172,9 @@ class Row:
             else:
                 items.append(_Field(m[2], m[3] or "name", 0 if m[1] else 1, bool(m[4])))
         self.items = tuple(items)
-        self.on_system = any(type(item) is _Field and item.name == "system"
-                             for item in items)
+        # (field, table, type, many) of each reference field, in usage-line order
+        self.refs = tuple((f.name, _REFS[f.type], f.type, f.many) for f in items
+                          if type(f) is _Field and f.type in _REFS)
 
     def match(self, tokens: list[str], n: int) -> Decl:
         """The Decl that `tokens` (line `n`) spell, or ParseError."""
@@ -279,7 +290,7 @@ def _select(tokens: list[str], n: int) -> Row:
         return first
     if at < len(tokens) and tokens[at] in rows:
         return rows[tokens[at]]
-    choices = " ".join(first.usage.split()[:at] + ["|".join(rows), "..."])
+    choices = " ".join(first.words[:at] + ["|".join(rows), "..."])
     if at >= len(tokens):
         raise ParseError(f"expected: {choices}", n)
     raise ParseError(f"unknown {tokens[0]} kind {tokens[at]!r}; expected: {choices}", n)
@@ -336,9 +347,10 @@ class Environment:
         self.dynamics: dict[str, dyn_mod.Dynamics] = {}
         self.histories: dict[str, hist_mod.History] = {}
         self.families: dict[str, hist_mod.HistoryFamily] = {}
-        self.locality_heads: dict[str, Decl] = {}
-        self.locality_steps: dict[str, list[Decl]] = {}
-        self.locality_states: dict[str, list[Decl]] = {}
+        # locality name -> (header Decl, refs) and the refs of its other lines
+        self.locality_heads: dict[str, tuple[Decl, SimpleNamespace]] = {}
+        self.locality_steps: dict[str, list[SimpleNamespace]] = {}
+        self.locality_states: dict[str, list[SimpleNamespace]] = {}
         self.localities: dict[str, tuple[LocalityExperiment, list[Ket]]] = {}
         self.queries: list[BoundQuery] = []
 
@@ -350,16 +362,9 @@ class Environment:
             raise ValidationError(f"unknown {what} {name!r}", line)
         return table[name]
 
-    def lookup_all(self, table: dict, names, what: str, line: int) -> list:
-        return [self.lookup(table, name, what, line) for name in names]
-
 
 def _invalid(d, message: str) -> ValidationError:
     return ValidationError(f"{d.row.head} {d.name!r}: {message}", d.line)
-
-
-def _grid(env: Environment, d) -> hist_mod.TimeGrid:
-    return env.lookup(env.grids, d.grid, "grid", d.line)
 
 
 def _fit(d, obj, dims: tuple[int, ...]):
@@ -377,201 +382,170 @@ def _spin_axis(d, dims: tuple[int, ...]) -> str:
     return d.axis
 
 
-def _grid_points(d, dims: tuple[int, ...]) -> tuple[float, ...]:
-    if len(d.grid_points) != math.prod(dims):
-        raise _invalid(d, f"{len(d.grid_points)} grid points for dim {math.prod(dims)}")
-    return d.grid_points
+def _per_dim(d, values: tuple, what: str, dims: tuple[int, ...]) -> tuple:
+    """`values`, once there is one of them per dimension of the system."""
+    if len(values) != math.prod(dims):
+        raise _invalid(d, f"{len(values)} {what} for dim {math.prod(dims)}")
+    return values
 
 
-def _system_dim(env, d, dims):
+def _on_system(d, obj, what: str, dims: tuple[int, ...]):
+    if obj.dim != math.prod(dims):
+        raise _invalid(d, f"{what} dim {obj.dim} != system dim {math.prod(dims)}")
+    return obj
+
+
+def _system_dim(env, d, refs):
     if d.dim < 1:
         raise _invalid(d, "dim must be >= 1")
     return (d.dim,)
 
 
-def _state_amps(env, d, dims):
-    if len(d.amps) != math.prod(dims):
-        raise _invalid(d, f"{len(d.amps)} amplitudes for dim {math.prod(dims)}")
-    return Ket(d.amps, dims)
-
-
-def _state_basis(env, d, dims):
+def _state_basis(env, d, refs):
+    dims = refs.system
     if not 0 <= d.index < math.prod(dims):
         raise _invalid(d, f"basis index {d.index} out of range for dim {math.prod(dims)}")
     return op_mod.basis_ket(d.index, dims)
 
 
-def _state_singlet(env, d, dims):
-    if dims != (2, 2):
+def _state_singlet(env, d, refs):
+    if refs.system != (2, 2):
         raise _invalid(d, "singlet needs a 2x2 composite system")
     return op_mod.singlet()
 
 
-def _state_tensor(env, d, dims):
-    parts = env.lookup_all(env.states, d.parts, "state", d.line)
-    return Ket(_fit(d, op_mod.tensor(*parts), dims).amplitudes, dims)
-
-
-def _operator_matrix(env, d, dims):
-    total = math.prod(dims)
+def _operator_matrix(env, d, refs):
+    total = math.prod(refs.system)
     if len(d.rows) != total or any(len(row) != total for row in d.rows):
         raise _invalid(d, f"matrix must be {total}x{total}")
-    return Operator(d.rows, dims)
+    return Operator(d.rows, refs.system)
 
 
-def _operator_dyad(env, d, dims):
-    ket = env.lookup(env.states, d.state, "state", d.line)
-    if ket.dim != math.prod(dims):
-        raise _invalid(d, f"state dim {ket.dim} != system dim {math.prod(dims)}")
-    return op_mod.dyad(ket)
+def _operator_tensor(env, d, refs):
+    out = _fit(d, op_mod.tensor(*refs.parts), refs.system)
+    return Operator(out.matrix, refs.system, out.flavor, env.tol("tol_alg"))
 
 
-def _operator_tensor(env, d, dims):
-    parts = env.lookup_all(env.operators, d.parts, "operator", d.line)
-    out = _fit(d, op_mod.tensor(*parts), dims)
-    return Operator(out.matrix, dims, flavor=out.flavor)
+def _pd_projectors(env, d, refs):
+    dims, tol = refs.system, env.tol("tol_alg")
+    ops = [_on_system(d, op, "member", dims) for op in refs.members]
+    return fw.make_pd([Operator(o.matrix, dims, o.flavor, tol) for o in ops], d.members, tol)
 
 
-def _pd_projectors(env, d, dims):
-    ops = env.lookup_all(env.operators, d.members, "operator", d.line)
-    for op in ops:
-        if op.dim != math.prod(dims):
-            raise _invalid(d, f"member dim {op.dim} != system dim {math.prod(dims)}")
-    return fw.make_pd([Operator(o.matrix, dims, flavor=o.flavor) for o in ops],
-                      d.members, env.tol("tol_alg"))
-
-
-def _pd_dyads(env, d, dims):
-    kets = env.lookup_all(env.states, d.members, "state", d.line)
-    return fw.make_pd([op_mod.dyad(Ket(k.amplitudes, dims)) for k in kets],
-                      d.members, env.tol("tol_alg"))
-
-
-def _pd_tensor(env, d, dims):
-    parts = env.lookup_all(env.pds, d.members, "pd", d.line)
-    out = _fit(d, fw.tensor_pd(*parts), dims)
-    projs = [Operator(p.matrix, dims, flavor="projector") for p in out.projectors]
+def _pd_tensor(env, d, refs):
+    out = _fit(d, fw.tensor_pd(*refs.members), refs.system)
+    projs = [Operator(p.matrix, refs.system, flavor="projector") for p in out.projectors]
     return fw.make_pd(projs, out.labels, env.tol("tol_alg"))
 
 
-def _pd_lift(env, d, dims):
-    inner = env.lookup(env.pds, d.inner, "pd", d.line)
-    if not 0 <= d.slot < len(dims):
-        raise _invalid(d, f"slot {d.slot} out of range for {dims}")
-    return fw.lift_pd(inner, dims, d.slot)
+def _pd_lift(env, d, refs):
+    if not 0 <= d.slot < len(refs.system):
+        raise _invalid(d, f"slot {d.slot} out of range for {refs.system}")
+    return fw.lift_pd(refs.inner, refs.system, d.slot)
 
 
-def _dynamics_unitaries(env, d, dims):
-    grid = _grid(env, d)
-    ops = env.lookup_all(env.operators, d.ops, "operator", d.line)
-    return dyn_mod.Dynamics(grid, [Operator(o.matrix, dims, flavor="unitary")
-                                   for o in ops])
-
-
-def _dynamics_hamiltonian(env, d, dims):
-    grid = _grid(env, d)
-    ham = env.lookup(env.operators, d.ops, "operator", d.line)
-    return dyn_mod.Dynamics.from_hamiltonian(grid, Operator(ham.matrix, dims))
-
-
-def _family_fixed(env, d, dims):
-    grid = _grid(env, d)
+def _family_fixed(env, d, refs):
     if d.initial in env.operators:
         initial = env.operators[d.initial]
     elif d.initial in env.states:
         initial = op_mod.dyad(env.states[d.initial])
     else:
         raise _invalid(d, f"unknown initial ref {d.initial!r}")
-    if initial.dims != dims:
-        initial = Operator(initial.matrix, dims, flavor=initial.flavor)
-    pds = env.lookup_all(env.pds, d.pds, "pd", d.line)
-    return hist_mod.fixed_initial_family(grid, initial, pds, label=d.initial)
-
-
-def _family_unitary(env, d, dims):
-    _grid(env, d)  # declared, like every family's, though the dynamics has its own
-    psi = env.lookup(env.states, d.state, "state", d.line)
-    dynamics = env.lookup(env.dynamics, d.dynamics, "dynamics", d.line)
-    return hist_mod.unitary_family(psi, dynamics)
+    tol = env.tol("tol_alg")
+    if initial.dims != refs.system:
+        initial = Operator(initial.matrix, refs.system, initial.flavor, tol)
+    return hist_mod.fixed_initial_family(refs.grid, initial, refs.pds,
+                                         label=d.initial, tol=tol)
 
 
 def _locality_part(table: str) -> Callable:
-    """Builder of a line that adds to the locality experiment of its name."""
-    def build(env, d, dims):
+    """Builder of a line that adds its refs to the locality experiment of its name."""
+    def build(env, d, refs):
         if d.name not in env.locality_heads:
             raise ValidationError(f"locality {d.name!r} has no header line", d.line)
-        getattr(env, table).setdefault(d.name, []).append(d)
+        getattr(env, table).setdefault(d.name, []).append(refs)
     return build
 
 
-_STATE = "state <name> system <system>"
-_OPERATOR = "operator <name> system <system>"
-_PD = "pd <name> system <system>"
-_DYNAMICS = "dynamics <name> system <system> grid <grid>"
-_FAMILY = "family <name> system <system> grid <grid>"
+_STATE = "state <name> system <system:system>"
+_OPERATOR = "operator <name> system <system:system>"
+_PD = "pd <name> system <system:system>"
+_DYNAMICS = "dynamics <name> system <system:system> grid <grid:grid>"
+_FAMILY = "family <name> system <system:system> grid <grid:grid>"
 _INTERVAL = "{interval} grid [<grid_points:float...>] window <lo:float> <hi:float>"
 
 GRAMMAR = (
     Row("tolerance <name> <value:float>"),
     Row("system <name> {dim} <dim:int>", "systems", _system_dim),
-    Row("system <name> {factors} <factors...>", "systems",
-        lambda env, d, dims: sum(
-            env.lookup_all(env.systems, d.factors, "system", d.line), ())),
-    Row(f"{_STATE} {{amps}} <amps:complex...>", "states", _state_amps),
+    Row("system <name> {factors} <factors:system...>", "systems",
+        lambda env, d, refs: sum(refs.factors, ())),
+    Row(f"{_STATE} {{amps}} <amps:complex...>", "states",
+        lambda env, d, refs: Ket(_per_dim(d, d.amps, "amplitudes", refs.system),
+                                 refs.system)),
     Row(f"{_STATE} {{basis}} <index:int>", "states", _state_basis),
     Row(f"{_STATE} {{singlet}}", "states", _state_singlet),
-    Row(f"{_STATE} {{tensor}} <parts> <parts...>", "states", _state_tensor),
+    Row(f"{_STATE} {{tensor}} <parts:state> <parts:state...>", "states",
+        lambda env, d, refs: Ket(_fit(d, op_mod.tensor(*refs.parts), refs.system).amplitudes,
+                                 refs.system)),
     Row(f"{_OPERATOR} {{matrix}} <rows:matrix...>", "operators",
         _operator_matrix),
-    Row(f"{_OPERATOR} {{dyad}} <state>", "operators", _operator_dyad),
+    Row(f"{_OPERATOR} {{dyad}} <state:state>", "operators",
+        lambda env, d, refs: op_mod.dyad(_on_system(d, refs.state, "state", refs.system))),
     Row(f"{_OPERATOR} {{identity}}", "operators",
-        lambda env, d, dims: Operator.identity(dims)),
-    Row(f"{_OPERATOR} {{tensor}} <parts> <parts...>", "operators",
+        lambda env, d, refs: Operator.identity(refs.system)),
+    Row(f"{_OPERATOR} {{tensor}} <parts:operator> <parts:operator...>", "operators",
         _operator_tensor),
     Row(f"{_OPERATOR} {{spin}} <axis> <sign:sign>", "operators",
-        lambda env, d, dims: op_mod.dyad(op_mod.spin_ket(_spin_axis(d, dims), d.sign))),
+        lambda env, d, refs: op_mod.dyad(op_mod.spin_ket(_spin_axis(d, refs.system),
+                                                         d.sign))),
     Row(f"{_OPERATOR} {_INTERVAL}", "operators",
-        lambda env, d, dims: op_mod.interval_projector(
-            _grid_points(d, dims), d.lo, d.hi)),
+        lambda env, d, refs: op_mod.interval_projector(
+            _per_dim(d, d.grid_points, "grid points", refs.system), d.lo, d.hi)),
     Row(f"{_PD} {{spin}} <axis>", "pds",
-        lambda env, d, dims: fw.spin_pd(_spin_axis(d, dims))),
-    Row(f"{_PD} {{basis}}", "pds", lambda env, d, dims: fw.basis_pd(dims)),
-    Row(f"{_PD} {{trivial}}", "pds", lambda env, d, dims: fw.trivial_pd(dims)),
-    Row(f"{_PD} {{projectors}} <members...>", "pds", _pd_projectors),
-    Row(f"{_PD} {{dyads}} <members...>", "pds", _pd_dyads),
-    Row(f"{_PD} {{tensor}} <members...>", "pds", _pd_tensor),
-    Row(f"{_PD} {{lift}} <inner> slot <slot:int>", "pds", _pd_lift),
+        lambda env, d, refs: fw.spin_pd(_spin_axis(d, refs.system))),
+    Row(f"{_PD} {{basis}}", "pds", lambda env, d, refs: fw.basis_pd(refs.system)),
+    Row(f"{_PD} {{trivial}}", "pds", lambda env, d, refs: fw.trivial_pd(refs.system)),
+    Row(f"{_PD} {{projectors}} <members:operator...>", "pds", _pd_projectors),
+    Row(f"{_PD} {{dyads}} <members:state...>", "pds",
+        lambda env, d, refs: fw.make_pd(
+            [op_mod.dyad(Ket(k.amplitudes, refs.system)) for k in refs.members],
+            d.members, env.tol("tol_alg"))),
+    Row(f"{_PD} {{tensor}} <members:pd...>", "pds", _pd_tensor),
+    Row(f"{_PD} {{lift}} <inner:pd> slot <slot:int>", "pds", _pd_lift),
     Row(f"{_PD} {_INTERVAL}", "pds",
-        lambda env, d, dims: fw.interval_pd(
-            _grid_points(d, dims), d.lo, d.hi, env.tol("tol_alg"))),
+        lambda env, d, refs: fw.interval_pd(
+            _per_dim(d, d.grid_points, "grid points", refs.system), d.lo, d.hi,
+            env.tol("tol_alg"))),
     Row("grid <name> times <times:float...>", "grids",
-        lambda env, d, dims: hist_mod.TimeGrid(d.times)),
+        lambda env, d, refs: hist_mod.TimeGrid(d.times)),
     Row(f"{_DYNAMICS} {{trivial}}", "dynamics",
-        lambda env, d, dims: dyn_mod.Dynamics.trivial(_grid(env, d), dims)),
-    Row(f"{_DYNAMICS} {{unitaries}} <ops...>", "dynamics",
-        _dynamics_unitaries),
-    Row(f"{_DYNAMICS} {{hamiltonian}} <ops>", "dynamics",
-        _dynamics_hamiltonian),
-    Row("history <name> factors <factors...>", "histories",
-        lambda env, d, dims: hist_mod.History(
-            env.lookup_all(env.operators, d.factors, "operator", d.line),
-            d.factors, tol=env.tol("tol_alg"))),
-    Row(f"{_FAMILY} {{product}} <pds...>", "families",
-        lambda env, d, dims: hist_mod.product_family(
-            _grid(env, d), env.lookup_all(env.pds, d.pds, "pd", d.line))),
-    Row(f"{_FAMILY} {{fixed}} <initial> <pds...>", "families", _family_fixed),
-    Row(f"{_FAMILY} {{unitary}} <state> <dynamics>", "families",
-        _family_unitary),
-    Row(f"{_FAMILY} {{raw}} <histories...>", "families",
-        lambda env, d, dims: hist_mod.raw_family(
-            _grid(env, d), env.lookup_all(env.histories, d.histories, "history", d.line),
-            tol=env.tol("tol_alg"))),
-    Row("locality <name> {systems} <sys_a> <sys_b> <sys_c> grid <grid> "
-        "initial <initial> pds [<pds...>]", "locality_heads",
-        lambda env, d, dims: d),
-    Row("locality <name> {step} <op_a> <op_bc>", None,
+        lambda env, d, refs: dyn_mod.Dynamics.trivial(refs.grid, refs.system)),
+    Row(f"{_DYNAMICS} {{unitaries}} <ops:operator...>", "dynamics",
+        lambda env, d, refs: dyn_mod.Dynamics(refs.grid, [
+            Operator(o.matrix, refs.system, "unitary", env.tol("tol_alg"))
+            for o in refs.ops])),
+    Row(f"{_DYNAMICS} {{hamiltonian}} <ops:operator>", "dynamics",
+        lambda env, d, refs: dyn_mod.Dynamics.from_hamiltonian(
+            refs.grid, Operator(refs.ops.matrix, refs.system), env.tol("tol_alg"))),
+    Row("history <name> factors <factors:operator...>", "histories",
+        lambda env, d, refs: hist_mod.History(refs.factors, d.factors,
+                                              tol=env.tol("tol_alg"))),
+    Row(f"{_FAMILY} {{product}} <pds:pd...>", "families",
+        lambda env, d, refs: hist_mod.product_family(refs.grid, refs.pds)),
+    Row(f"{_FAMILY} {{fixed}} <initial> <pds:pd...>", "families", _family_fixed),
+    # The grid is declared, like every family's, though the dynamics has its own.
+    Row(f"{_FAMILY} {{unitary}} <state:state> <dynamics:dynamics>", "families",
+        lambda env, d, refs: hist_mod.unitary_family(refs.state, refs.dynamics,
+                                                     tol=env.tol("tol_alg"))),
+    Row(f"{_FAMILY} {{raw}} <histories:history...>", "families",
+        lambda env, d, refs: hist_mod.raw_family(refs.grid, refs.histories,
+                                                 tol=env.tol("tol_alg"))),
+    Row("locality <name> {systems} <sys_a:system> <sys_b:system> <sys_c:system> "
+        "grid <grid:grid> initial <initial:state> pds [<pds:pd...>]", "locality_heads",
+        lambda env, d, refs: (d, refs)),
+    Row("locality <name> {step} <op_a:operator> <op_bc:operator>", None,
         _locality_part("locality_steps")),
-    Row("locality <name> {cstate} <state>", None,
+    Row("locality <name> {cstate} <state:state>", None,
         _locality_part("locality_states")),
 )
 
@@ -654,7 +628,7 @@ def _bind_compatibility(env: Environment, q: QueryDecl) -> dict:
     if len(names) != 2:
         raise ValidationError(f"compatibility {key} needs two names", q.line)
     table, what = (env.pds, "pd") if key == "pds" else (env.families, "family")
-    payload = {key: tuple(env.lookup_all(table, names, what, q.line))}
+    payload = {key: tuple(env.lookup(table, name, what, q.line) for name in names)}
     if key == "families" and q.arg("dynamics") is not None:
         payload["dynamics"] = env.lookup(env.dynamics, q.arg("dynamics"),
                                          "dynamics", q.line)
@@ -685,9 +659,7 @@ def _bind_povm(env: Environment, q: QueryDecl) -> dict:
 
 def _bind_locality(env: Environment, q: QueryDecl) -> dict:
     name = _require(q, "locality")
-    if name not in env.localities:
-        raise ValidationError(f"unknown locality experiment {name!r}", q.line)
-    experiment, c_states = env.localities[name]
+    experiment, c_states = env.lookup(env.localities, name, "locality experiment", q.line)
     return {"experiment": experiment, "c_states": c_states, "name": name}
 
 
@@ -716,27 +688,22 @@ _BINDERS = {
 QUERY_KINDS = tuple(_BINDERS)
 
 
-def _finish_locality(env: Environment, head: Decl) -> None:
-    name, line = head.name, head.line
-    d_a, d_b, d_c = (math.prod(d) for d in env.lookup_all(
-        env.systems, (head.sys_a, head.sys_b, head.sys_c), "system", line))
-    grid = env.lookup(env.grids, head.grid, "grid", line)
-    initial = env.lookup(env.states, head.initial, "state", line)
-    if initial.dim != d_a * d_b:
-        raise _invalid(head, f"initial AB state dim {initial.dim} != {d_a * d_b}")
-    initial = Ket(initial.amplitudes, (d_a, d_b))
-    pds = env.lookup_all(env.pds, head.pds, "pd", line)
-    steps = [tuple(env.lookup_all(env.operators, (s.op_a, s.op_bc), "operator", s.line))
-             for s in env.locality_steps.get(name, [])]
-    c_states = [env.lookup(env.states, c.state, "state", line)
-                for c in env.locality_states.get(name, [])]
+def _finish_locality(env: Environment, head: Decl, refs) -> None:
+    """The experiment of a header, from the references of its lines."""
+    d_a, d_b = math.prod(refs.sys_a), math.prod(refs.sys_b)
+    if refs.initial.dim != d_a * d_b:
+        raise _invalid(head, f"initial AB state dim {refs.initial.dim} != {d_a * d_b}")
+    c_states = [c.state for c in env.locality_states.get(head.name, [])]
     if not c_states:
-        raise ValidationError(f"locality {name!r} declares no cstate lines", line)
+        raise ValidationError(f"locality {head.name!r} declares no cstate lines", head.line)
+    steps = [(s.op_a, s.op_bc) for s in env.locality_steps.get(head.name, [])]
     try:
-        exp = LocalityExperiment(initial, d_c, steps, pds, grid)
+        exp = LocalityExperiment(Ket(refs.initial.amplitudes, (d_a, d_b)),
+                                 math.prod(refs.sys_c), steps, refs.pds, refs.grid,
+                                 tol=env.tol("tol_alg"))
     except CohistError as err:
         raise _invalid(head, str(err)) from err
-    env.localities[name] = (exp, c_states)
+    env.localities[head.name] = (exp, c_states)
 
 
 def resolve(scenario: Scenario,
@@ -759,9 +726,12 @@ def resolve(scenario: Scenario,
         try:
             if row.table is not None and stmt.name in declared:
                 raise ValidationError(f"name {stmt.name!r} is already declared", stmt.line)
-            dims = (env.lookup(env.systems, stmt.system, "system", stmt.line)
-                    if row.on_system else None)
-            built = row.build(env, stmt, dims)
+            refs = SimpleNamespace()
+            for name, table, what, many in row.refs:
+                value, table = getattr(stmt, name), getattr(env, table)
+                setattr(refs, name, [env.lookup(table, v, what, stmt.line) for v in value]
+                        if many else env.lookup(table, value, what, stmt.line))
+            built = row.build(env, stmt, refs)
             if row.table is not None:
                 getattr(env, row.table)[stmt.name] = built
                 declared.add(stmt.name)
@@ -770,7 +740,7 @@ def resolve(scenario: Scenario,
         except CohistError as err:
             raise ValidationError(str(err), stmt.line) from err
 
-    for head in env.locality_heads.values():
-        _finish_locality(env, head)
+    for head, refs in env.locality_heads.values():
+        _finish_locality(env, head, refs)
     env.queries = [BoundQuery(q, _BINDERS[q.kind](env, q)) for q in scenario.queries]
     return env

@@ -198,6 +198,38 @@ class TestRunText:
                                   tolerance_overrides={"tol_consistency": 10.0})
         assert machine_value(report, "consistency", "verdict") == "consistent"
 
+    # tol_alg reaches the unitary check of a dynamics step and the projector
+    # check of a fixed family's initial condition, from a line or an override.
+    STEP = ("scenario tol\nsystem s dim 2\ngrid g times 0 1\n"
+            "operator u system s matrix {} 0 ; 0 1\n"
+            "dynamics d system s grid g unitaries u\n")
+
+    def test_loose_tol_alg_accepts_a_near_unitary_step(self):
+        text = self.STEP.format("1.00000001")
+        report, status = run_text(text, machine=True)
+        assert (report, status) == (
+            "error: line 5: not unitary: ||U^dag U - I||=2.000e-08\n", 2)
+        loose = text.replace("system s", "tolerance tol_alg 1e-6\nsystem s", 1)
+        assert run_text(loose, machine=True)[1] == 0
+
+    def test_tight_tol_alg_override_rejects_a_near_unitary_step(self):
+        text = self.STEP.format("1.0000000000005")
+        assert run_text(text, machine=True)[1] == 0
+        report, status = run_text(text, machine=True,
+                                  tolerance_overrides={"tol_alg": 1e-14})
+        assert (report, status) == (
+            "error: line 5: not unitary: ||U^dag U - I||=1.000e-12\n", 2)
+
+    def test_loose_tol_alg_accepts_a_near_projector_initial_condition(self):
+        text = ("scenario tol\nsystem s dim 2\ngrid g times 0 1\n"
+                "operator p system s matrix 1.00000001 0 ; 0 0\npd z system s basis\n"
+                "family f system s grid g fixed p z\n")
+        report, status = run_text(text, machine=True)
+        assert (report, status) == (
+            "error: line 6: initial condition is not a projector\n", 2)
+        loose = text.replace("system s", "tolerance tol_alg 1e-6\nsystem s", 1)
+        assert run_text(loose, machine=True)[1] == 0
+
 
 class TestDemos:
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohist import ParseError
-from cohist.scenario import GRAMMAR, Decl, Scenario, parse, serialize
+from cohist.cli import run_text
+from cohist.demos import demo_text
+from cohist.scenario import _REFS, GRAMMAR, Decl, Scenario, parse, serialize
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,6 +28,7 @@ TOKEN = {
     "float": FLOATS,
     "complex": COMPLEX,
     "sign": st.sampled_from(["+", "-"]),
+    **dict.fromkeys(_REFS, NAMES),  # a reference field holds names
 }
 
 
@@ -208,6 +211,60 @@ class TestMalformed:
     def test_trailing_tokens_after_trivial_dynamics_rejected(self):
         with pytest.raises(ParseError, match="line 3"):
             parse(_at_line_3("dynamics d system s grid g trivial extra"))
+
+
+# One object of each reference type, named after the type: lines 2 to 8.
+DECLARED = """\
+scenario refs
+system system dim 2
+state state system system basis 0
+operator operator system system identity
+pd pd system system basis
+grid grid times 0 1
+dynamics dynamics system system grid grid trivial
+history history factors operator operator
+"""
+# A value of each other field type, for a line that fails before its builder runs.
+SAMPLE = {"name": "x", "int": 0, "float": 0.0, "complex": 1, "sign": "+"}
+
+
+def _reference_fields():
+    for row in GRAMMAR:
+        for item in row.items:
+            if not isinstance(item, str) and item.type in _REFS:
+                yield pytest.param(row, item, id=f"{_row_id(row)}:{item.name}")
+
+
+def _filler(item, ref_name):
+    """A value of field `item` that parses; `ref_name` for a reference field."""
+    if item.type == "matrix":
+        return ((1,),)
+    token = ref_name if item.type in _REFS else SAMPLE[item.type]
+    return (token,) * max(item.least, 1) if item.many else token
+
+
+class TestReferences:
+    """Each reference field is looked up in the table of its type, on its own
+    line, before the row's builder runs."""
+
+    @pytest.mark.parametrize("row,field", _reference_fields())
+    def test_unknown_reference_is_named_on_its_line(self, row, field):
+        values = {item.name: _filler(item, item.type)
+                  for item in row.items if not isinstance(item, str)}
+        values[field.name] = _filler(field, "missing")
+        text = DECLARED + Decl(row, **values).to_line() + "\n"
+        assert run_text(text) == (f"error: line 9: unknown {field.type} 'missing'\n", 2)
+
+    def test_locality_header_may_not_name_a_later_grid(self):
+        lines = demo_text("locality").splitlines(keepends=True)
+        assert lines[16:18] == ["grid g times 0 1 2\n", "locality L systems a b c grid g "
+                                "initial phi0 pds za xa\n"]
+        lines[16:18] = lines[17], lines[16]
+        assert run_text("".join(lines)) == ("error: line 17: unknown grid 'g'\n", 2)
+
+    def test_unknown_cstate_state_is_named_on_its_line(self):
+        text = demo_text("locality").replace("cstate c2", "cstate c9")
+        assert run_text(text) == ("error: line 22: unknown state 'c9'\n", 2)
 
 
 def readme_scenario_blocks():
