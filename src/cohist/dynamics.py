@@ -58,8 +58,7 @@ class Dynamics:
     @classmethod
     def trivial(cls, grid: TimeGrid, dims) -> "Dynamics":
         ident = Operator.identity(dims)
-        u = Operator(ident.matrix, ident.dims, flavor="unitary")
-        return cls(grid, [u] * grid.f)
+        return cls(grid, [Operator._tagged(ident.matrix, ident.dims, "unitary")] * grid.f)
 
     @classmethod
     def from_hamiltonian(cls, grid: TimeGrid, hamiltonian: Operator,
@@ -106,9 +105,7 @@ class Dynamics:
 
     def reversed(self) -> "Dynamics":
         """Dynamics of the time-reversed grid: adjoint steps in reverse order."""
-        steps = tuple(self.steps[self.grid.f - 1 - m].dag() for m in range(self.grid.f))
-        steps = tuple(Operator(s.matrix, s.dims, flavor="unitary") for s in steps)
-        return Dynamics(self.grid.reversed(), steps)
+        return Dynamics(self.grid.reversed(), [s.dag() for s in self.steps[::-1]])
 
     def __repr__(self) -> str:
         return f"Dynamics(times={self.grid.n_times}, dim={self.dim})"

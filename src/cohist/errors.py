@@ -34,7 +34,7 @@ class OrthogonalityError(CohistError):
     """Two projectors that must be mutually orthogonal are not."""
 
 
-class CompletenessError(CohistError):
+class CompletenessError(CohistError, ValueError):
     """A set of projectors does not sum to the identity."""
 
 

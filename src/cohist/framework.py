@@ -28,8 +28,10 @@ from .operators import (
     Operator,
     _fro,
     commutes,
+    embed,
     interval_projector,
     spin_projectors,
+    tensor,
 )
 
 
@@ -63,6 +65,13 @@ def _first_overlap(stack: np.ndarray, tol: float) -> tuple[int, int, float] | No
     return None
 
 
+def _distinct(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """`labels`, once no two are equal."""
+    if len(set(labels)) != len(labels):
+        raise ArgumentError(f"duplicate element labels in {labels}")
+    return labels
+
+
 class ProjectiveDecomposition:
     """Ordered set of mutually orthogonal projectors that sum to the identity."""
 
@@ -80,8 +89,7 @@ class ProjectiveDecomposition:
         labels = tuple(str(l) for l in labels)
         if len(labels) != len(projectors):
             raise ArgumentError(f"{len(labels)} labels for {len(projectors)} projectors")
-        if len(set(labels)) != len(labels):
-            raise ArgumentError(f"duplicate element labels in {labels}")
+        _distinct(labels)
         # Errors come in the order of one element at a time: its dim, then
         # zero, then projector.  The elements before the first of another
         # dim form one (k, d, d) stack.
@@ -113,6 +121,21 @@ class ProjectiveDecomposition:
         self.projectors = projectors
         self.labels = labels
         self.dims = dims
+
+    @classmethod
+    def _following(cls, projectors: Sequence[Operator],
+                   labels: Sequence[str]) -> "ProjectiveDecomposition":
+        """A decomposition that follows from checked ones (a product, a lift or
+        a copy on other dims): only its labels are checked."""
+        pd = object.__new__(cls)
+        pd.projectors, pd.labels = tuple(projectors), _distinct(tuple(labels))
+        pd.dims = pd.projectors[0].dims
+        return pd
+
+    def with_dims(self, dims) -> "ProjectiveDecomposition":
+        """The same elements and labels on other factor dims."""
+        return ProjectiveDecomposition._following(
+            [p.with_dims(dims) for p in self.projectors], self.labels)
 
     @property
     def dim(self) -> int:
@@ -203,37 +226,27 @@ def spin_pd(axis: str) -> ProjectiveDecomposition:
 def interval_pd(grid, lo: float, hi: float, tol: float = TOL_ALG) -> ProjectiveDecomposition:
     """Two-element decomposition {inside, outside}; empty sides are dropped."""
     inside = interval_projector(grid, lo, hi)
-    outside = inside.complement()
-    projs, labels = [], []
-    if inside.norm() > tol:
-        projs.append(inside)
-        labels.append("in")
-    if outside.norm() > tol:
-        projs.append(Operator(outside.matrix, inside.dims, flavor="projector"))
-        labels.append("out")
-    return make_pd(projs, labels, tol)
+    sides = [(p, lab) for p, lab in ((inside, "in"), (inside.complement(), "out"))
+             if p.norm() > tol]
+    return make_pd([p for p, _ in sides], [lab for _, lab in sides], tol)
 
 
 def tensor_pd(*pds: ProjectiveDecomposition) -> ProjectiveDecomposition:
     """Product decomposition on the composite space; labels join with '&'."""
-    from .operators import tensor as _tensor
-
     if len(pds) < 1:
         raise DimError("tensor_pd needs at least one factor")
     projs = [pds[0].projectors[i] for i in range(pds[0].size)]
     labels = list(pds[0].labels)
     for nxt in pds[1:]:
-        projs = [_tensor(p, q) for p in projs for q in nxt.projectors]
+        projs = [tensor(p, q) for p in projs for q in nxt.projectors]
         labels = [f"{a}&{b}" for a in labels for b in nxt.labels]
-    return make_pd(projs, labels)
+    return ProjectiveDecomposition._following(projs, labels)
 
 
 def lift_pd(pd: ProjectiveDecomposition, dims, slot: int) -> ProjectiveDecomposition:
     """Extend each element by identities on the other factors of `dims`."""
-    from .operators import embed
-
-    projs = [embed(p, dims, slot) for p in pd.projectors]
-    return make_pd(projs, pd.labels)
+    return ProjectiveDecomposition._following(
+        [embed(p, dims, slot) for p in pd.projectors], pd.labels)
 
 
 def compatible(f: ProjectiveDecomposition, g: ProjectiveDecomposition,

@@ -315,7 +315,7 @@ def fixed_initial_family(grid: TimeGrid, initial: Operator,
         # The throwaway is one more row: the complement at t_0, then an I
         # entry appended to each later table.
         identity = Operator.identity(initial.dims)
-        factors[0].append(Operator(rest.matrix, initial.dims, "projector", tol))
+        factors[0].append(rest)
         names[0].append(f"!{label}")
         for ops, labs in zip(factors[1:], names[1:]):
             ops.append(identity)
@@ -347,7 +347,7 @@ def unitary_family(psi0: Ket, dynamics, labels: tuple[str, str] = ("psi", "!psi"
         factors.append([p])
         names.append([labels[0]])
         if q.norm() > tol:
-            factors[-1].append(Operator(q.matrix, p.dims, "projector", tol))
+            factors[-1].append(q)
             names[-1].append(labels[1])
     index = _radix_index([len(ops) for ops in factors])
     kinds = np.where(index[:, 0] != 0, KIND_THROWAWAY,

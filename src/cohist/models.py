@@ -14,13 +14,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimError, FactorizationError, FlavorError, NormalizationError
+from .errors import (
+    CompletenessError,
+    DimError,
+    FactorizationError,
+    FlavorError,
+    NormalizationError,
+)
 from .framework import (
     ProjectiveDecomposition,
     lift_pd,
     make_pd,
     spin_pd,
     tensor_pd,
+    trivial_pd,
 )
 from .dynamics import (
     CONSISTENCY_FLOOR,
@@ -208,9 +215,7 @@ def build_measurement(basis, mode: str = "destructive",
     # First step: apparatus moves M_0 -> M_1, particle untouched.
     swap = np.eye(d_m, dtype=complex)
     swap[[0, 1]] = swap[[1, 0]]
-    u_first = tensor(Operator.identity(d_s),
-                     Operator(swap, (d_m,), flavor="unitary"))
-    u_first = Operator(u_first.matrix, dims, flavor="unitary")
+    u_first = Operator(np.kron(np.eye(d_s), swap), dims, flavor="unitary")
 
     # Second step: |s^j, M_1> -> |s^1, M^j> (destructive) or |s^j, M^j>.
     pairs = []
@@ -295,8 +300,6 @@ def preparation_analysis(model: MeasurementModel, c) -> PreparationAnalysis:
     c = _amplitudes(c, model.d_s)
     init = dyad(model.initial_state(c))
     joint_pd = tensor_pd(model.system_pd(), model.pointer_pd)
-    from .framework import trivial_pd
-
     family = fixed_initial_family(
         model.grid, init, [trivial_pd(model.dims), joint_pd], label="Psi0"
     )
@@ -425,15 +428,15 @@ class PovmElementSet:
             if r.dims != dims:
                 raise DimError(f"element {i} has dims {r.dims}, expected {dims}")
             if not r.is_positive(tol):
-                raise ValueError(
+                raise FlavorError(
                     f"element {i} ({labels[i]}) is not positive: min eigenvalue "
                     f"{r.min_eigenvalue():.3e}"
                 )
         total = sum(r.matrix for r in elements)
         residual = float(np.linalg.norm(total - np.eye(elements[0].dim)))
         if residual > tol:
-            raise ValueError(f"elements do not sum to the identity: "
-                             f"||sum - I|| = {residual:.3e}")
+            raise CompletenessError(f"elements do not sum to the identity: "
+                                    f"||sum - I|| = {residual:.3e}")
         self.elements = elements
         self.labels = labels
 
@@ -553,8 +556,7 @@ class LocalityExperiment:
             raise DimError(f"C state dim {c_state.dim}, expected {self.c_dim}")
         c_state.require_normalized(1e-10)
         dims = self.dims
-        init = dyad(tensor(self.initial_ab, c_state))
-        init = Operator(init.matrix, dims, flavor="projector")
+        init = dyad(tensor(self.initial_ab, c_state)).with_dims(dims)  # C may be composite
         if self._lifted is None:
             # The same for every C state: lifted on the first family only.
             self._lifted = [lift_pd(pd, dims, 0) for pd in self.a_pds]

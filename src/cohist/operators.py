@@ -17,13 +17,13 @@ are convention-relative.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     ArgumentError,
+    CohistError,
     DimError,
     FlavorError,
     NonFiniteError,
@@ -88,6 +88,10 @@ class Ket:
             )
         return self
 
+    def with_dims(self, dims) -> "Ket":
+        """The same amplitudes on other factor dims."""
+        return Ket(self.amplitudes, dims)
+
     def normalized(self) -> "Ket":
         n = self.norm()
         if n == 0.0:
@@ -132,39 +136,38 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _check_flavor(matrix: np.ndarray, flavor: str, tol: float) -> None:
-    if flavor == "projector":
-        herm = _fro(matrix - matrix.conj().T)
-        idem = _fro(matrix @ matrix - matrix)
-        if not (herm <= tol and idem <= tol):
-            raise NotProjectorError(
-                f"not a projector: ||P^2-P||={idem:.3e}, ||P-P^dag||={herm:.3e}"
-            )
-    elif flavor == "unitary":
+def _flavor_fault(matrix: np.ndarray, flavor: str, tol: float) -> CohistError | None:
+    """The error a matrix that is not of the given flavor at `tol` raises, or
+    None: the one place each flavor's deviations are computed."""
+    if flavor == "unitary":
         dev = _fro(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))
-        if not dev <= tol:
-            raise FlavorError(f"not unitary: ||U^dag U - I||={dev:.3e}")
-    elif flavor == "hermitian":
-        dev = _fro(matrix - matrix.conj().T)
-        if not dev <= tol:
-            raise FlavorError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
-    elif flavor == "positive":
-        dev = _fro(matrix - matrix.conj().T)
-        if not dev <= tol:
-            raise FlavorError(f"not Hermitian: ||A - A^dag||={dev:.3e}")
+        return None if dev <= tol else FlavorError(f"not unitary: ||U^dag U - I||={dev:.3e}")
+    if flavor not in ("projector", "hermitian", "positive"):
+        raise ValueError(f"unknown operator flavor {flavor!r}")
+    herm = _fro(matrix - matrix.conj().T)
+    if flavor == "projector":
+        idem = _fro(matrix @ matrix - matrix)
+        return None if herm <= tol and idem <= tol else NotProjectorError(
+            f"not a projector: ||P^2-P||={idem:.3e}, ||P-P^dag||={herm:.3e}")
+    if not herm <= tol:
+        return FlavorError(f"not Hermitian: ||A - A^dag||={herm:.3e}")
+    if flavor == "positive":
         lo = float(np.linalg.eigvalsh(matrix).min())
         if not lo >= -tol:
-            raise FlavorError(f"not positive: min eigenvalue {lo:.3e}")
-    else:
-        raise ValueError(f"unknown operator flavor {flavor!r}")
+            return FlavorError(f"not positive: min eigenvalue {lo:.3e}")
+    return None
 
 
 class Operator:
     """Dense complex square matrix with an optional validated flavor tag.
 
     Flavor tags ("hermitian", "projector", "unitary", "positive") are
-    validated on construction and trusted afterwards.  Arithmetic results
-    carry no flavor.
+    validated on construction and trusted afterwards.  A result whose flavor
+    follows from its inputs' tags (`tensor`, `embed`, `dag`, a projector's
+    `complement`, `with_dims`, `identity` and `zero`) carries it unchecked:
+    to first order its deviation is at most the sum over its factors of each
+    one's deviation times the other factors' Frobenius norms (twice that for a
+    positive result's least eigenvalue).  Arithmetic results carry no flavor.
     """
 
     __slots__ = ("matrix", "dims", "flavor")
@@ -179,33 +182,39 @@ class Operator:
         m.flags.writeable = False
         self.matrix = m
         self.dims = _factor_dims(m.shape[0], dims)
-        if flavor is not None:
-            _check_flavor(m, flavor, tol)
+        if flavor is not None and (fault := _flavor_fault(m, flavor, tol)) is not None:
+            raise fault
         self.flavor = flavor
 
-    # The identity and zero matrices are exact projectors: tagged unchecked.
+    @classmethod
+    def _tagged(cls, matrix, dims, flavor: str | None) -> "Operator":
+        """An operator whose flavor follows from checked inputs, tagged unchecked."""
+        op = cls(matrix, dims)
+        op.flavor = flavor
+        return op
+
+    # The identity and zero matrices are exact projectors.
     @classmethod
     def identity(cls, dims) -> "Operator":
         dims = (dims,) if isinstance(dims, int) else tuple(dims)
-        op = cls(np.eye(int(math.prod(dims))), dims)
-        op.flavor = "projector"
-        return op
+        return cls._tagged(np.eye(int(math.prod(dims))), dims, "projector")
 
     @classmethod
     def zero(cls, dims) -> "Operator":
         dims = (dims,) if isinstance(dims, int) else tuple(dims)
         d = int(math.prod(dims))
-        op = cls(np.zeros((d, d)), dims)
-        op.flavor = "projector"
-        return op
+        return cls._tagged(np.zeros((d, d)), dims, "projector")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def dag(self) -> "Operator":
-        flavor = self.flavor if self.flavor in ("hermitian", "projector", "positive") else None
-        return Operator(self.matrix.conj().T, self.dims, flavor=flavor)
+        return Operator._tagged(self.matrix.conj().T, self.dims, self.flavor)
+
+    def with_dims(self, dims) -> "Operator":
+        """The same matrix and flavor on other factor dims."""
+        return Operator._tagged(self.matrix, dims, self.flavor)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -218,20 +227,16 @@ class Operator:
         return _fro(self.matrix - other.matrix) <= tol
 
     def is_projector(self, tol: float = TOL_ALG) -> bool:
-        m = self.matrix
-        return _fro(m - m.conj().T) <= tol and _fro(m @ m - m) <= tol
+        return _flavor_fault(self.matrix, "projector", tol) is None
 
     def is_unitary(self, tol: float = TOL_ALG) -> bool:
-        m = self.matrix
-        return _fro(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+        return _flavor_fault(self.matrix, "unitary", tol) is None
 
     def is_hermitian(self, tol: float = TOL_ALG) -> bool:
-        return _fro(self.matrix - self.matrix.conj().T) <= tol
+        return _flavor_fault(self.matrix, "hermitian", tol) is None
 
     def is_positive(self, tol: float = TOL_ALG) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        return float(np.linalg.eigvalsh(self.matrix).min()) >= -tol
+        return _flavor_fault(self.matrix, "positive", tol) is None
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())
@@ -265,8 +270,9 @@ class Operator:
         return Operator(self.matrix @ other.matrix, self.dims)
 
     def complement(self) -> "Operator":
-        """I - self."""
-        return Operator(np.eye(self.dim) - self.matrix, self.dims)
+        """I - self, a projector when self is one."""
+        flavor = "projector" if self.flavor == "projector" else None
+        return Operator._tagged(np.eye(self.dim) - self.matrix, self.dims, flavor)
 
     def expectation(self, ket: Ket) -> complex:
         """<ket| self |ket>."""
@@ -338,32 +344,25 @@ def tensor(*parts):
             m = _kron(m, p.matrix)
             dims = dims + p.dims
         flavors = {p.flavor for p in parts}
-        flavor = flavors.pop() if len(flavors) == 1 and None not in flavors else None
-        if flavor not in ("projector", "unitary", "hermitian", "positive"):
-            flavor = None
-        return Operator(m, dims, flavor=flavor)
+        return Operator._tagged(m, dims, flavors.pop() if len(flavors) == 1 else None)
     raise DimError("tensor factors must be all kets or all operators")
 
 
 def embed(op: Operator, dims, slot: int) -> Operator:
     """Extend an operator acting on factor `slot` by identities on the rest.
 
-    The result is `tensor` of the identities and `op`: the same products, and
-    the flavor `tensor` gives (`op`'s own when there is one factor, else
-    "projector" for a projector and none otherwise).  `op`'s flavor is checked
-    at the default tolerance first, then the result's.
+    The result is `tensor` of the identities and `op` on `dims`, with the
+    flavor `tensor` gives: `op`'s own when there is one factor, else
+    "projector" for a projector and none otherwise.
     """
     dims = tuple(int(d) for d in dims)
     if not 0 <= slot < len(dims):
         raise DimError(f"slot {slot} out of range for factors {dims}")
     if op.dim != dims[slot]:
         raise DimError(f"operator dim {op.dim} does not match factor dim {dims[slot]}")
-    parts = [Operator.identity(d).matrix for d in dims]
-    parts[slot] = op.matrix
-    if op.flavor is not None:
-        _check_flavor(op.matrix, op.flavor, TOL_ALG)
-    flavor = op.flavor if len(dims) == 1 or op.flavor == "projector" else None
-    return Operator(reduce(_kron, parts), dims, flavor=flavor)
+    parts = [Operator.identity(d) for d in dims]
+    parts[slot] = op
+    return tensor(*parts).with_dims(dims)
 
 
 def partial_trace(op: Operator, keep) -> Operator:

@@ -368,10 +368,11 @@ def _invalid(d, message: str) -> ValidationError:
 
 
 def _fit(d, obj, dims: tuple[int, ...]):
-    """`obj`, the tensor product of `d`'s parts, once its dim is the system's."""
+    """`obj`, the tensor product of `d`'s parts, on the system's dims once its
+    dim is the system's."""
     if obj.dim != math.prod(dims):
         raise _invalid(d, f"tensor parts have dim {obj.dim}, system has {math.prod(dims)}")
-    return obj
+    return obj.with_dims(dims)
 
 
 def _spin_axis(d, dims: tuple[int, ...]) -> str:
@@ -421,21 +422,10 @@ def _operator_matrix(env, d, refs):
     return Operator(d.rows, refs.system)
 
 
-def _operator_tensor(env, d, refs):
-    out = _fit(d, op_mod.tensor(*refs.parts), refs.system)
-    return Operator(out.matrix, refs.system, out.flavor, env.tol("tol_alg"))
-
-
 def _pd_projectors(env, d, refs):
     dims, tol = refs.system, env.tol("tol_alg")
     ops = [_on_system(d, op, "member", dims) for op in refs.members]
-    return fw.make_pd([Operator(o.matrix, dims, o.flavor, tol) for o in ops], d.members, tol)
-
-
-def _pd_tensor(env, d, refs):
-    out = _fit(d, fw.tensor_pd(*refs.members), refs.system)
-    projs = [Operator(p.matrix, refs.system, flavor="projector") for p in out.projectors]
-    return fw.make_pd(projs, out.labels, env.tol("tol_alg"))
+    return fw.make_pd([o.with_dims(dims) for o in ops], d.members, tol)
 
 
 def _pd_lift(env, d, refs):
@@ -451,11 +441,8 @@ def _family_fixed(env, d, refs):
         initial = op_mod.dyad(env.states[d.initial])
     else:
         raise _invalid(d, f"unknown initial ref {d.initial!r}")
-    tol = env.tol("tol_alg")
-    if initial.dims != refs.system:
-        initial = Operator(initial.matrix, refs.system, initial.flavor, tol)
-    return hist_mod.fixed_initial_family(refs.grid, initial, refs.pds,
-                                         label=d.initial, tol=tol)
+    return hist_mod.fixed_initial_family(refs.grid, initial.with_dims(refs.system), refs.pds,
+                                         label=d.initial, tol=env.tol("tol_alg"))
 
 
 def _locality_part(table: str) -> Callable:
@@ -485,8 +472,7 @@ GRAMMAR = (
     Row(f"{_STATE} {{basis}} <index:int>", "states", _state_basis),
     Row(f"{_STATE} {{singlet}}", "states", _state_singlet),
     Row(f"{_STATE} {{tensor}} <parts:state> <parts:state...>", "states",
-        lambda env, d, refs: Ket(_fit(d, op_mod.tensor(*refs.parts), refs.system).amplitudes,
-                                 refs.system)),
+        lambda env, d, refs: _fit(d, op_mod.tensor(*refs.parts), refs.system)),
     Row(f"{_OPERATOR} {{matrix}} <rows:matrix...>", "operators",
         _operator_matrix),
     Row(f"{_OPERATOR} {{dyad}} <state:state>", "operators",
@@ -494,7 +480,7 @@ GRAMMAR = (
     Row(f"{_OPERATOR} {{identity}}", "operators",
         lambda env, d, refs: Operator.identity(refs.system)),
     Row(f"{_OPERATOR} {{tensor}} <parts:operator> <parts:operator...>", "operators",
-        _operator_tensor),
+        lambda env, d, refs: _fit(d, op_mod.tensor(*refs.parts), refs.system)),
     Row(f"{_OPERATOR} {{spin}} <axis> <sign:sign>", "operators",
         lambda env, d, refs: op_mod.dyad(op_mod.spin_ket(_spin_axis(d, refs.system),
                                                          d.sign))),
@@ -508,9 +494,10 @@ GRAMMAR = (
     Row(f"{_PD} {{projectors}} <members:operator...>", "pds", _pd_projectors),
     Row(f"{_PD} {{dyads}} <members:state...>", "pds",
         lambda env, d, refs: fw.make_pd(
-            [op_mod.dyad(Ket(k.amplitudes, refs.system)) for k in refs.members],
+            [op_mod.dyad(k.with_dims(refs.system)) for k in refs.members],
             d.members, env.tol("tol_alg"))),
-    Row(f"{_PD} {{tensor}} <members:pd...>", "pds", _pd_tensor),
+    Row(f"{_PD} {{tensor}} <members:pd...>", "pds",
+        lambda env, d, refs: _fit(d, fw.tensor_pd(*refs.members), refs.system)),
     Row(f"{_PD} {{lift}} <inner:pd> slot <slot:int>", "pds", _pd_lift),
     Row(f"{_PD} {_INTERVAL}", "pds",
         lambda env, d, refs: fw.interval_pd(
@@ -698,7 +685,7 @@ def _finish_locality(env: Environment, head: Decl, refs) -> None:
         raise ValidationError(f"locality {head.name!r} declares no cstate lines", head.line)
     steps = [(s.op_a, s.op_bc) for s in env.locality_steps.get(head.name, [])]
     try:
-        exp = LocalityExperiment(Ket(refs.initial.amplitudes, (d_a, d_b)),
+        exp = LocalityExperiment(refs.initial.with_dims((d_a, d_b)),
                                  math.prod(refs.sys_c), steps, refs.pds, refs.grid,
                                  tol=env.tol("tol_alg"))
     except CohistError as err:

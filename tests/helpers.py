@@ -194,8 +194,9 @@ def linalg_norm(x):
     return float(np.linalg.norm(x))
 
 
-def kron_tensor(*parts):
-    """`tensor` of operators or kets by a chain of np.kron calls."""
+def kron_tensor(*parts, tol=1e-10):
+    """`tensor` of operators or kets by a chain of np.kron calls, its flavor
+    checked at `tol`."""
     if isinstance(parts[0], Ket):
         amp = parts[0].amplitudes
         for p in parts[1:]:
@@ -206,17 +207,18 @@ def kron_tensor(*parts):
         m = np.kron(m, p.matrix)
     flavors = {p.flavor for p in parts}
     flavor = flavors.pop() if len(flavors) == 1 and None not in flavors else None
-    return Operator(m, sum((p.dims for p in parts), ()), flavor=flavor)
+    return Operator(m, sum((p.dims for p in parts), ()), flavor=flavor, tol=tol)
 
 
-def kron_embed(op, dims, slot):
+def kron_embed(op, dims, slot, tol=1e-10):
     """`embed` as the np.kron product of a flavor-checked identity per factor
-    and a flavor-checked copy of `op`, checked again as a whole."""
+    and a flavor-checked copy of `op`, checked again as a whole, each check
+    at `tol`."""
     dims = tuple(int(d) for d in dims)
     parts = [Operator(np.eye(d), (d,), flavor="projector") for d in dims]
-    parts[slot] = Operator(op.matrix, (dims[slot],), flavor=op.flavor)
-    out = parts[0] if len(parts) == 1 else kron_tensor(*parts)
-    return Operator(out.matrix, dims, flavor=out.flavor)
+    parts[slot] = Operator(op.matrix, (dims[slot],), flavor=op.flavor, tol=tol)
+    out = parts[0] if len(parts) == 1 else kron_tensor(*parts, tol=tol)
+    return Operator(out.matrix, dims, flavor=out.flavor, tol=tol)
 
 
 def loop_pd_check(projectors, labels, tol=1e-10):

@@ -135,6 +135,18 @@ class TestRunText:
         # the compatibility query after the failing ones still produced output
         assert machine_value(report, "compatibility", "compatible") == "false"
 
+    def test_povm_that_fails_completeness_is_a_typed_query_error(self):
+        # The elements sum to I within 3.14e-16, above this tol_alg.
+        text = ("scenario povm\ntolerance tol_alg 1e-16\nsystem s dim 2\nsystem a dim 2\n"
+                "system sa factors s a\nstate a0 system a amps "
+                "0.61000618397574979+0.12496471778007319i "
+                "-0.76385754679692897-0.16969950802187994i\n"
+                "pd bb system sa basis\nquery povm pd bb state a0 ancilla 1\n")
+        report, status = run_text(text, machine=True)
+        assert status == 1
+        assert ("error CompletenessError elements do not sum to the identity: "
+                "||sum - I|| = 3.140e-16\n") in report
+
     @pytest.mark.parametrize("text, override", [
         (MINIMAL.replace("seed 3", "seed -1"), None),
         (MINIMAL, -1),
@@ -230,6 +242,25 @@ class TestRunText:
         loose = text.replace("system s", "tolerance tol_alg 1e-6\nsystem s", 1)
         assert run_text(loose, machine=True)[1] == 0
 
+    # Products, lifts and copies on other dims follow from checked parts and
+    # are not checked again: the one check of p is on the `pd pq` line, at
+    # the scenario's tol_alg.
+    NEAR = ("scenario tol\nsystem s dim 2\nsystem ss factors s s\n"
+            "operator p system s matrix 1.00000001 0 ; 0 0\n"
+            "operator q system s matrix 0 0 ; 0 1\npd pq system s projectors p q\n"
+            "state e0 system s basis 0\noperator pe system s dyad e0\n")
+
+    @pytest.mark.parametrize("line, table", [("pd t system ss tensor pq pq", "pds"),
+                                             ("pd t system ss lift pq slot 0", "pds"),
+                                             ("operator t system ss tensor pe pe", "operators")])
+    def test_loose_tol_alg_reaches_tensor_and_lift_lines(self, line, table):
+        text = self.NEAR + line + "\n"
+        assert run_text(text, machine=True) == (
+            "error: line 6: element 0 (p) is not a projector\n", 2)
+        loose = text.replace("system s", "tolerance tol_alg 1e-6\nsystem s", 1)
+        assert run_text(loose, machine=True) == ("scenario tol\nstatus 0\n", 0)
+        assert getattr(resolve(parse(loose)), table)["t"].dims == (2, 2)
+
 
 class TestDemos:
 
@@ -264,6 +295,25 @@ class TestDemos:
         assert machine_value(report, "locality", "passed") == "true"
         dev = float(machine_value(report, "locality", "max_probability_deviation"))
         assert dev <= 1e-10
+
+    def test_locality_on_a_composite_c_system(self):
+        # The C states sit on dims (2, 2); the joint initial condition is
+        # re-dimmed to the experiment's (2, 2, 4) before the family is built.
+        text = ("scenario loc\nsystem a dim 2\nsystem b dim 2\nsystem x dim 2\n"
+                "system y dim 2\nsystem c factors x y\nsystem ab factors a b\n"
+                "system bc factors b x y\nstate phi0 system ab singlet\n"
+                "state c1 system c basis 0\nstate c2 system c basis 3\n"
+                "operator ta system a identity\noperator tbc system bc identity\n"
+                "pd za system a spin z\npd xa system a spin x\ngrid g times 0 1 2\n"
+                "locality L systems a b c grid g initial phi0 pds za xa\n"
+                "locality L step ta tbc\nlocality L step ta tbc\n"
+                "locality L cstate c1\nlocality L cstate c2\n"
+                "query locality locality L\n")
+        report, status = run_text(text, machine=True)
+        assert status == 0
+        assert machine_value(report, "locality", "passed") == "true"
+        probs = machine_value(report, "locality", "probabilities 1").split()
+        assert [float(x) for x in probs] == pytest.approx([0.25] * 4 + [0], abs=1e-12)
 
     def test_povm_demo_complete(self):
         report, _ = run_text(demo_text("povm"), machine=True)

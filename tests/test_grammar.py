@@ -1,6 +1,8 @@
 """The scenario grammar table: round trips over every row, malformed lines,
-and the README's scenario blocks."""
+and the README's scenario blocks and API example."""
 
+import contextlib
+import io
 import pathlib
 import re
 
@@ -277,6 +279,15 @@ class TestReadme:
 
     def test_two_blocks(self):
         assert len(readme_scenario_blocks()) == 2
+
+    def test_api_example_prints_what_its_comments_say(self):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        said = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+        assert out.getvalue().splitlines() == said == ["inconsistent", "0.24999999999999978"]
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_block_parses(self, index):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from cohist import (
+    CompletenessError,
     DimError,
     FactorizationError,
+    FlavorError,
     Ket,
     LocalityExperiment,
     NormalizationError,
     Operator,
+    PovmElementSet,
     basis_ket,
     basis_pd,
     build_measurement,
@@ -261,6 +264,17 @@ class TestPovm:
         with pytest.raises(DimError):
             povm_from_ancilla(pd, Ket([1, 0, 0]))
 
+    def test_element_set_errors_are_typed_value_errors(self):
+        # A non-positive element and an incomplete sum raise toolkit errors
+        # that callers catching ValueError still catch.
+        half = Operator(0.5 * np.eye(2))
+        with pytest.raises(CompletenessError) as err:
+            PovmElementSet([half])
+        assert isinstance(err.value, ValueError)
+        with pytest.raises(FlavorError) as err:
+            PovmElementSet([Operator(np.diag([1.5, 1.0])), Operator(np.diag([-0.5, 0.0]))])
+        assert isinstance(err.value, ValueError)
+
 
 def make_experiment(rng, f=2, d_c=2):
     steps = [(random_unitary(rng, 2), random_unitary(rng, 2 * d_c))
@@ -282,6 +296,18 @@ class TestLocality:
         assert report.passed
         assert report.max_probability_deviation < 1e-12
         assert report.max_residual_deviation < 1e-12
+
+    def test_composite_c_state_gives_the_same_family(self):
+        # A C state on factor dims (2, 2) is the same C state as on (4,).
+        rng = np.random.default_rng(149)
+        exp = make_experiment(rng, d_c=4)
+        c = random_ket(rng, 4)
+        flat = exp.family(c)
+        split = exp.family(Ket(c.amplitudes, (2, 2)))
+        assert split.dims == flat.dims == (2, 2, 4)
+        dyn = exp.dynamics()
+        assert np.array_equal(decoherence_functional(split, dyn).matrix,
+                              decoherence_functional(flat, dyn).matrix)
 
     def test_entangling_bc_dynamics_still_invariant(self):
         rng = np.random.default_rng(137)

@@ -25,7 +25,7 @@ from cohist import (
     spin_projectors,
     tensor,
 )
-from cohist.operators import _check_flavor
+from cohist.operators import _flavor_fault
 from helpers import random_ket, random_projector, random_unitary
 
 
@@ -307,5 +307,4 @@ class TestRejectedInput:
     ])
     def test_flavor_checks_fail_on_nan(self, flavor, error):
         # Construction rejects NaN first; the checks must not pass it either.
-        with pytest.raises(error):
-            _check_flavor(np.array([[np.nan, 0], [0, 1]]), flavor, 1e-10)
+        assert isinstance(_flavor_fault(np.array([[np.nan, 0], [0, 1]]), flavor, 1e-10), error)
